@@ -348,6 +348,21 @@ def _pair_of_strings(value, what: str) -> tuple[str, str]:
     return (value[0], value[1])
 
 
+def _named_pairs(doc: dict, key: str, what: str) -> dict[str, tuple[str, str]]:
+    """The optional ``{name: [label, label]}`` object under ``key``."""
+    raw = doc.get(key)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ParseError(f"'{key}' must be an object of named pairs")
+    out: dict[str, tuple[str, str]] = {}
+    for name, pair in raw.items():
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"malformed {what} name {name!r}")
+        out[name] = _pair_of_strings(pair, f"{what} '{name}'")
+    return out
+
+
 def parse_document(text: str) -> GraphDocument:
     """Parse a JSON graph document.
 
@@ -373,17 +388,8 @@ def parse_document(text: str) -> GraphDocument:
     warnings = tuple(f"unknown key '{k}' ignored"
                      for k in sorted(set(doc) - _KNOWN_KEYS))
 
-    channels: dict[str, tuple[str, str]] = {}
-    for name, pair in (doc.get("channels") or {}).items():
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"malformed channel name {name!r}")
-        channels[name] = _pair_of_strings(pair, f"channel '{name}'")
-
-    sockets: dict[str, tuple[str, str]] = {}
-    for name, pair in (doc.get("sockets") or {}).items():
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"malformed socket name {name!r}")
-        sockets[name] = _pair_of_strings(pair, f"socket '{name}'")
+    channels = _named_pairs(doc, "channels", "channel")
+    sockets = _named_pairs(doc, "sockets", "socket")
 
     initial = None
     if doc.get("initial") is not None:

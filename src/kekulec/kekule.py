@@ -4,6 +4,12 @@ A Kekulé state is an edge subset giving every internal node exactly one
 incident chosen edge.  Enumeration backtracks over internal nodes in
 ascending (degree, label) order so small branching factors fail fast; edges
 between two ports are unconstrained and multiply solutions freely.
+
+Membership of one port assignment in the Kekulé cell needs no enumeration:
+the assignment forces every port edge, and a state exists exactly when the
+port-port edges agree with it and the internal nodes it leaves uncovered
+have a perfect matching among internal-internal edges (Edmonds 1965).
+:class:`_Membership` compiles that test once per graph into bit masks.
 """
 
 from __future__ import annotations
@@ -57,40 +63,150 @@ def _iter_cover_masks(g: Graph, forced_in: int = 0, forced_out: int = 0) -> Iter
 
     ``forced_in`` edges are pre-selected, ``forced_out`` excluded.  Edges
     between two ports are never selected here; callers own those bits.
+    Depth-first with an explicit stack, so long chains cannot exhaust the
+    interpreter's recursion limit; masks come out in the order of the search.
     """
-    covered: dict[str, bool] = {}
-    for v in g.internal:
+    order = sorted(g.internal, key=lambda n: (g.degree[n], n))
+    pos = {v: i for i, v in enumerate(order)}
+    covered = 0
+    for i, v in enumerate(order):
         cnt = (forced_in & g.incidence_mask(v)).bit_count()
         if cnt > 1:
             return
-        covered[v] = cnt == 1
-    order = sorted(g.internal, key=lambda n: (g.degree[n], n))
-    candidates = {
-        v: tuple((bit, other, other in covered) for other, bit in g.neighbors(v))
-        for v in order}
-
-    def rec(i: int, mask: int) -> Iterator[int]:
-        if i == len(order):
+        if cnt:
+            covered |= 1 << i
+    # per node: (edge bit, covered bit of the other end, 0 for a port)
+    moves = [tuple((1 << bit, 1 << pos[other] if other in pos else 0)
+                   for other, bit in g.neighbors(v) if not forced_out >> bit & 1)
+             for v in order]
+    n = len(order)
+    stack = [(0, forced_in, covered)]
+    while stack:
+        i, mask, covered = stack.pop()
+        while i < n and covered >> i & 1:
+            i += 1
+        if i == n:
             yield mask
-            return
-        v = order[i]
-        if covered[v]:
-            yield from rec(i + 1, mask)
-            return
-        for bit, other, other_internal in candidates[v]:
-            if forced_out >> bit & 1:
-                continue
-            if other_internal and covered[other]:
-                continue
-            covered[v] = True
-            if other_internal:
-                covered[other] = True
-            yield from rec(i + 1, mask | (1 << bit))
-            covered[v] = False
-            if other_internal:
-                covered[other] = False
+            continue
+        me = 1 << i
+        # reversed, so the first candidate is popped (and searched) first
+        stack.extend([(i + 1, mask | edge, covered | me | other)
+                      for edge, other in reversed(moves[i]) if not covered & other])
 
-    yield from rec(0, forced_in)
+
+class _Membership:
+    """Compiled cell-membership test for one graph.
+
+    ``probe(mask)`` is True iff some Kekulé state has the port assignment
+    with bit vector ``mask`` (over ``g.ports``).  Internal nodes become bit
+    positions; a probe checks the port-port edges, covers the internal
+    neighbours of the chosen ports, cuts on per-component parity (and on
+    colour balance where a component is bipartite), then searches for a
+    perfect matching of the free nodes.
+    """
+
+    __slots__ = ("_port_node", "_port_pairs", "_adj", "_internal", "_components")
+
+    def __init__(self, g: Graph):
+        index = {v: i for i, v in enumerate(g.internal)}
+        port_index = {p: i for i, p in enumerate(g.ports)}
+        self._adj = [sum(1 << index[u] for u, _ in g.neighbors(v) if u in index)
+                     for v in g.internal]
+        self._internal = (1 << len(index)) - 1
+        # per port: bit of its internal neighbour, 0 when its neighbour is a port
+        self._port_node: list[int] = []
+        self._port_pairs: list[int] = []
+        for i, p in enumerate(g.ports):
+            (nb, _), = g.neighbors(p)
+            if nb in index:
+                self._port_node.append(1 << index[nb])
+            else:
+                self._port_node.append(0)
+                if port_index[nb] > i:
+                    self._port_pairs.append(1 << i | 1 << port_index[nb])
+        self._components = self._colour_components()
+
+    def _colour_components(self) -> list[tuple[int, int | None]]:
+        """(node mask, colour-1 mask or None when not bipartite) per component."""
+        out = []
+        left = self._internal
+        while left:
+            start = left & -left
+            comp, colour, bipartite = start, 0, True
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                odd = bool(colour & node)
+                nbrs = self._adj[node.bit_length() - 1]
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    if not comp & low:
+                        comp |= low
+                        if not odd:
+                            colour |= low
+                        stack.append(low)
+                    elif bool(colour & low) == odd:
+                        bipartite = False
+            out.append((comp, colour if bipartite else None))
+            left &= ~comp
+        return out
+
+    def __call__(self, mask: int) -> bool:
+        for pair in self._port_pairs:
+            both = mask & pair
+            if both and both != pair:
+                return False
+        port_node = self._port_node
+        covered = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            node = port_node[low.bit_length() - 1]
+            if covered & node:
+                return False
+            covered |= node
+        free = self._internal & ~covered
+        for comp, colour in self._components:
+            part = free & comp
+            if colour is None:
+                if part.bit_count() & 1:
+                    return False
+            elif 2 * (part & colour).bit_count() != part.bit_count():
+                return False
+        return self._matchable(free)
+
+    def _matchable(self, free: int) -> bool:
+        """Whether the internal nodes in ``free`` have a perfect matching.
+
+        Depth-first over free masks; each step matches the free node with
+        the fewest free neighbours, and a node with none prunes the branch.
+        """
+        adj = self._adj
+        # (free nodes after removing a branch node, its untried free neighbours)
+        stack: list[tuple[int, int]] = []
+        while free:
+            best_count = len(adj) + 1
+            rest = free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nbrs = adj[low.bit_length() - 1] & free
+                count = nbrs.bit_count()
+                if count < best_count:
+                    best, best_nbrs, best_count = low, nbrs, count
+                    if count <= 1:
+                        break
+            if best_count:
+                stack.append((free & ~best, best_nbrs))
+            if not stack:
+                return False
+            rest, untried = stack.pop()
+            low = untried & -untried
+            if untried != low:
+                stack.append((rest, untried ^ low))
+            free = rest & ~low
+        return True
 
 
 def _port_port_bits(g: Graph) -> list[int]:
@@ -166,12 +282,10 @@ def kekule_states_for(g: Graph, a: Assignment, allow_large: bool = False) -> lis
 
 
 def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
-    """Existence version of :func:`kekule_states_for`; stops at the first hit."""
+    """Existence version of :func:`kekule_states_for`, decided by one
+    compiled membership probe instead of a state search."""
     _require_graph_assignment(g, a)
-    forced = _forced_port_edges(g, a)
-    if forced is None:
-        return False
-    return next(_iter_cover_masks(g, *forced), None) is not None
+    return _Membership(g)(a.mask)
 
 
 def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:

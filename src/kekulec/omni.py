@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
-from .cells import Assignment, parity_space
+from .cells import Assignment
 from .errors import KekulecError
 from .graph import Graph, signature
-from .kekule import has_kekule_state_for
+from .kekule import _Membership
 from .transform import add_internal_edge
 
 _PORT_CAP = 20
@@ -24,29 +25,39 @@ class OmniVerdict:
     witness: Assignment | None
 
 
+def _parity_masks(n: int, parity: int) -> Iterator[int]:
+    """Masks of the n-port parity class in (cardinality, label) order, the
+    order of :meth:`Cell.members`."""
+    for k in range(parity, n + 1, 2):
+        for combo in combinations(range(n), k):
+            yield sum(1 << i for i in combo)
+
+
 def is_omniconjugated(g: Graph) -> OmniVerdict:
     """True iff every parity-correct port assignment has a Kekulé state.
 
-    Tests membership assignment by assignment with constrained backtracking
-    instead of enumerating all states; the witness is the first missing
-    assignment in (cardinality, label) order.
+    Tests membership assignment by assignment with one compiled matching
+    probe instead of enumerating all states; the witness is the first
+    missing assignment in (cardinality, label) order.
     """
     if len(g.ports) < 2:
         raise KekulecError("omniconjugation requires at least two ports")
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
-    for a in parity_space(g.ports, signature(g)).members():
-        if not has_kekule_state_for(g, a):
-            return OmniVerdict(False, a)
+    probe = _Membership(g)
+    for mask in _parity_masks(len(g.ports), signature(g)):
+        if not probe(mask):
+            return OmniVerdict(False, Assignment(g.ports, mask))
     return OmniVerdict(True, None)
 
 
 def realized_assignment_count(g: Graph) -> int:
-    """Number of port assignments with at least one Kekulé state."""
+    """Number of port assignments with at least one Kekulé state, by one
+    compiled matching probe per parity-correct assignment."""
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
-    return sum(1 for a in parity_space(g.ports, signature(g)).members()
-               if has_kekule_state_for(g, a))
+    probe = _Membership(g)
+    return sum(1 for mask in _parity_masks(len(g.ports), signature(g)) if probe(mask))
 
 
 def make_A(n: int) -> Graph:

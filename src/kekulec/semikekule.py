@@ -12,7 +12,7 @@ from . import gf2
 from .cells import Assignment
 from .errors import KekulecError
 from .graph import EdgeSubset, Graph, cycle_basis, cycle_rank, is_connected, signature
-from .kekule import is_kekule_state
+from .kekule import _require_graph_assignment, is_kekule_state
 
 
 def is_semi_kekule(g: Graph, w: EdgeSubset) -> bool:
@@ -26,11 +26,6 @@ def is_semi_kekule(g: Graph, w: EdgeSubset) -> bool:
 def _require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise KekulecError("connected graph required")
-
-
-def _require_graph_assignment(g: Graph, a: Assignment) -> None:
-    if a.ports != g.ports:
-        raise KekulecError("assignment port set does not match the graph's ports")
 
 
 def solve_semi_kekule(g: Graph, a: Assignment) -> EdgeSubset | None:

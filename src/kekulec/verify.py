@@ -65,13 +65,17 @@ def _fail(claim: str, detail: str, g: Graph | None = None) -> ClaimResult:
 
 def alternating_path_exists(g: Graph, w, p: str, q: str) -> bool:
     """Backtracking search for a simple path p..q whose edges alternate
-    between w-membership and non-membership.  Independent of the cell route."""
+    between w-membership and non-membership.  Independent of the cell route;
+    an explicit stack keeps long paths clear of the recursion limit."""
     (v, bit), = g.neighbors(p)
     if v == q:
         return True
-
-    def dfs(node: str, last_in_w: bool, visited: set[str]) -> bool:
-        for nb, b in g.neighbors(node):
+    visited = {p, v}
+    # (node, whether the edge into it is in w, its unexplored neighbours)
+    stack = [(v, bool(w.mask >> bit & 1), iter(g.neighbors(v)))]
+    while stack:
+        node, last_in_w, todo = stack[-1]
+        for nb, b in todo:
             in_w = bool(w.mask >> b & 1)
             if in_w == last_in_w:
                 continue
@@ -80,12 +84,12 @@ def alternating_path_exists(g: Graph, w, p: str, q: str) -> bool:
             if nb in visited:
                 continue
             visited.add(nb)
-            if dfs(nb, in_w, visited):
-                return True
-            visited.discard(nb)
-        return False
-
-    return dfs(v, bool(w.mask >> bit & 1), {p, v})
+            stack.append((nb, in_w, iter(g.neighbors(nb))))
+            break
+        else:
+            stack.pop()
+            visited.discard(node)
+    return False
 
 
 # -- claims -------------------------------------------------------------------

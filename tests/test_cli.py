@@ -280,3 +280,20 @@ def test_classify_four_port_template_realizes_input(graph_file, capsys):
     assert payload["class"] == "k3"
     assert payload["kekule"] is True
     assert payload["template"]["edges"]
+
+
+@pytest.mark.parametrize("key", ["channels", "sockets"])
+def test_non_object_named_pairs_are_domain_errors(graph_file, capsys, key):
+    text = json.dumps({"edges": [["p0", "u"], ["u", "v"], ["v", "p1"]], key: [1]})
+    path = graph_file("bad", text)
+    code, out, err = run(capsys, "cell", path)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: '{key}' must be an object of named pairs"]
+
+
+def test_cell_on_a_long_path(graph_file, capsys):
+    text = json.dumps({"edges": [[f"n{i:04d}", f"n{i + 1:04d}"] for i in range(3000)]})
+    code, out, _ = run(capsys, "cell", graph_file("path3000", text))
+    assert code == 0
+    assert out.splitlines() == ["ports: {n0000,n3000}", "{n0000}", "{n3000}"]

@@ -212,6 +212,19 @@ def test_parse_document_must_be_object():
         parse_document('{"edges": 5}')
 
 
+@pytest.mark.parametrize("key", ["channels", "sockets"])
+@pytest.mark.parametrize("value", [[1], [["p0", "p1"]], "A", 3, True])
+def test_parse_document_named_pairs_must_be_object(key, value):
+    text = json.dumps({"edges": [["p0", "u"], ["u", "p1"]], key: value})
+    with pytest.raises(ParseError, match=f"'{key}' must be an object"):
+        parse_document(text)
+
+
+def test_parse_document_null_named_pairs_are_absent():
+    doc = parse_document('{"edges": [["a", "b"]], "channels": null, "sockets": null}')
+    assert doc.channels == {} and doc.sockets == {}
+
+
 def test_no_state_graph_properties(no_state_graph):
     from kekulec import enumerate_kekule_states, is_omniconjugated, kekule_cell
     assert len(no_state_graph.ports) == 2

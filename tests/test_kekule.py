@@ -4,7 +4,7 @@ from kekulec import (Assignment, Graph, KekulecError, alternating_curves,
                      alternating_path, apply_curve, curve_components,
                      cycle_rank, enumerate_kekule_states, is_alternating,
                      is_kekule_state, is_perfect_matching, kekule_cell,
-                     kekule_states_for, make_delta, port_assignment,
+                     kekule_states_for, make_A, make_delta, port_assignment,
                      state_difference)
 from kekulec.smallgraphs import atlas_graphs
 
@@ -223,3 +223,11 @@ def test_scale_guardrail():
     edges = [(f"k{i}", f"k{j}") for i in range(n) for j in range(i + 1, n)]
     with pytest.raises(KekulecError, match="allow_large"):
         enumerate_kekule_states(Graph(edges))
+
+
+def test_long_chain_needs_no_recursion():
+    g = make_A(3000)
+    cell = kekule_cell(g)
+    assert cell.format_lines() == ["{}", "{a1,a3000}"]
+    (w,) = kekule_states_for(g, cell.members()[0])
+    assert alternating_path(g, w, "a1", "a3000") is not None

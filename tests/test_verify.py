@@ -54,3 +54,10 @@ def test_injected_mutant_yields_counterexample(monkeypatch):
     assert not result.ok
     assert result.counterexample is not None
     assert "edges" in result.counterexample
+
+
+def test_alternating_path_search_on_a_long_chain():
+    from kekulec import Assignment, kekule_states_for, make_A
+    g = make_A(3000)
+    (w,) = kekule_states_for(g, Assignment(g.ports, 0))
+    assert verify_mod.alternating_path_exists(g, w, "a1", "a3000")
