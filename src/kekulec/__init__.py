@@ -8,14 +8,13 @@ theory (semikekule), abstract cell algebra and small-cell classification
 
 from .cells import (Assignment, Cell, channel, channel_decomposition, diameter,
                     flex, flexible_ports, hamming, is_flexible, is_open,
-                    parity_space, sym_diff, translate)
+                    parity_space, translate)
 from .classify import Classification, classify_cell, diameter4_template, star_graph
 from .errors import CellError, KekulecError, ParseError, SwitchError
 from .graph import (CurveComponent, Edge, EdgeSubset, Graph, GraphDocument,
-                    classify_nodes, connected_components, curve_components,
-                    cycle_basis, cycle_rank, dumps_document, is_connected,
-                    is_curve, parse_document, parse_graph, signature,
-                    to_document)
+                    connected_components, curve_components, cycle_basis,
+                    cycle_rank, dumps_document, is_connected, is_curve,
+                    parse_document, parse_graph, signature, to_document)
 from .kekule import (alternating_curves, alternating_path, apply_curve,
                      enumerate_kekule_states, has_kekule_state_for,
                      is_alternating, is_kekule_state, is_perfect_matching,

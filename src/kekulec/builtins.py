@@ -33,16 +33,8 @@ class Builtin:
 
     def functional_cell(self) -> FunctionalCell:
         """Fresh functional cell; the initial state defaults to the first member."""
-        cell = kekule_cell(self.graph)
-        if self.initial is not None:
-            initial = cell.assignment(self.initial)
-        else:
-            members = cell.members()
-            if not members:
-                raise KekulecError(f"builtin '{self.name}' has an empty cell")
-            initial = members[0]
-        channels = {n: cell.assignment(pair) for n, pair in self.channels.items()}
-        return FunctionalCell(cell, initial, channels, self.sockets)
+        return FunctionalCell.from_graph(self.graph, self.channels, self.sockets,
+                                         self.initial)
 
 
 def _ethene3() -> Builtin:

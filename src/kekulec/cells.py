@@ -51,11 +51,6 @@ class Assignment:
         return "{" + ",".join(self.labels()) + "}"
 
 
-def sym_diff(k: Assignment, k2: Assignment) -> Assignment:
-    """Symmetric difference; the group operation on assignments."""
-    return k ^ k2
-
-
 def hamming(k: Assignment, k2: Assignment) -> int:
     """Number of ports on which the two assignments differ."""
     return len(k ^ k2)

@@ -257,18 +257,6 @@ def _cmd_builtin(args) -> int:
 
 # -- simulation ----------------------------------------------------------------
 
-def _functional_from_document(doc: GraphDocument) -> FunctionalCell:
-    cell = kekule_cell(doc.graph)
-    if not cell.masks:
-        raise KekulecError("graph has no Kekulé state")
-    channels = {n: cell.assignment(pair) for n, pair in doc.channels.items()}
-    if doc.initial is not None:
-        initial = cell.assignment(doc.initial)
-    else:
-        initial = cell.members()[0]
-    return FunctionalCell(cell, initial, channels, doc.sockets)
-
-
 def _simulate_command(fc: FunctionalCell, line: str, out) -> tuple[bool, bool]:
     """Run one REPL command.  Returns (keep_going, refused_or_violated)."""
     parts = line.split()
@@ -321,7 +309,7 @@ class _UnknownCommand(Exception):
 
 def _cmd_simulate(args) -> int:
     doc = _read_document(args.graph, args.lint)
-    fc = _functional_from_document(doc)
+    fc = FunctionalCell.from_graph(doc.graph, doc.channels, doc.sockets, doc.initial)
     refused = False
     if args.script:
         try:

@@ -32,14 +32,16 @@ class Graph:
     """
 
     __slots__ = ("edges", "nodes", "ports", "internal", "degree",
-                 "_index", "_incidence", "_adj", "_port_index", "_hash")
+                 "_index", "_incidence", "_adj", "_hash")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         seen: set[Edge] = set()
         canon: list[Edge] = []
         for pair in edges:
+            # a pair must be a list or tuple: a two-letter string or a two-key
+            # object would unpack too (exact type tests keep this loop cheap)
             try:
-                u, v = pair
+                u, v = pair if type(pair) is tuple or type(pair) is list else ()
             except (TypeError, ValueError):
                 raise ParseError(f"malformed edge {pair!r}") from None
             for label in (u, v):
@@ -70,7 +72,6 @@ class Graph:
         self.internal: tuple[str, ...] = tuple(n for n in self.nodes if degree[n] > 1)
         self._incidence = incidence
         self._adj = {n: tuple(sorted(pairs)) for n, pairs in adj.items()}
-        self._port_index = {p: i for i, p in enumerate(self.ports)}
         self._hash = hash(self.edges)
 
     # -- basic queries ---------------------------------------------------
@@ -104,9 +105,6 @@ class Graph:
         """Sorted (neighbor label, edge index) pairs for ``node``."""
         return self._adj[node]
 
-    def port_bit(self, port: str) -> int:
-        return self._port_index[port]
-
     # -- subsets ---------------------------------------------------------
 
     def subset(self, edges: Iterable[tuple[str, str]] = ()) -> "EdgeSubset":
@@ -119,9 +117,6 @@ class Graph:
         if mask < 0 or mask >> len(self.edges):
             raise KekulecError(f"mask {mask:#x} outside edge space")
         return EdgeSubset(self, mask)
-
-    def full_subset(self) -> "EdgeSubset":
-        return EdgeSubset(self, (1 << len(self.edges)) - 1)
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,6 @@ class EdgeSubset:
 
     def __str__(self) -> str:
         return "{" + ",".join(f"{u}-{v}" for u, v in self.edges()) + "}"
-
-
-# -- node classification ----------------------------------------------------
-
-def classify_nodes(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...], dict[str, int]]:
-    """Partition the nodes into (ports, internal) and report the degree map."""
-    return g.ports, g.internal, dict(g.degree)
 
 
 def signature(g: Graph) -> int:

@@ -66,29 +66,31 @@ def hsk_basis(g: Graph) -> list[EdgeSubset]:
     return cycles
 
 
+def _span(g: Graph, a: Assignment) -> list[EdgeSubset]:
+    """The affine space W0 xor HSK(G) for ``a``, sorted by mask; empty when
+    the parity is wrong."""
+    w0 = solve_semi_kekule(g, a)
+    if w0 is None:
+        return []
+    basis = [c.mask for c in hsk_basis(g)]
+    return [EdgeSubset(g, m) for m in sorted(w0.mask ^ s for s in gf2.span(basis))]
+
+
 def enumerate_semi_kekule(g: Graph, a: Assignment) -> list[EdgeSubset]:
     """All semi-Kekulé states with port assignment ``a``; exactly 2^r of them.
 
     Raises when the parity is wrong, since then no state exists at all.
     """
-    w0 = solve_semi_kekule(g, a)
-    if w0 is None:
+    states = _span(g, a)
+    if not states:
         raise KekulecError("no semi-Kekulé state for this parity")
-    basis = [c.mask for c in hsk_basis(g)]
-    masks = sorted(w0.mask ^ s for s in gf2.span(basis))
-    return [EdgeSubset(g, m) for m in masks]
+    return states
 
 
 def kekule_states_via_span(g: Graph, a: Assignment) -> list[EdgeSubset]:
     """Kekulé states for an assignment via the semi-Kekulé span, filtered.
 
-    Cross-check route for the backtracking enumerator: solve once, span the
-    kernel, keep the states where every internal degree is exactly one.
+    Cross-check route for the backtracking enumerator: keep the span states
+    where every internal degree is exactly one.
     """
-    w0 = solve_semi_kekule(g, a)
-    if w0 is None:
-        return []
-    basis = [c.mask for c in hsk_basis(g)]
-    masks = sorted(w0.mask ^ s for s in gf2.span(basis))
-    return [EdgeSubset(g, m) for m in masks
-            if is_kekule_state(g, EdgeSubset(g, m))]
+    return [w for w in _span(g, a) if is_kekule_state(g, w)]

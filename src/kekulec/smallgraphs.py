@@ -15,23 +15,19 @@ from itertools import combinations_with_replacement
 from .errors import KekulecError
 from .graph import Graph, cycle_rank, is_connected, normalize_edge
 
-_atlas_cache: list[Graph] | None = None
 
-
+@lru_cache(maxsize=None)
 def _atlas() -> list[Graph]:
-    global _atlas_cache
-    if _atlas_cache is None:
-        from networkx.generators.atlas import graph_atlas_g
-        out = []
-        for ng in graph_atlas_g():
-            if ng.number_of_edges() == 0:
-                continue
-            if any(d == 0 for _, d in ng.degree()):
-                continue  # isolated nodes are not representable as edge sets
-            out.append(Graph((f"v{u}", f"v{v}") for u, v in sorted(
-                (min(u, v), max(u, v)) for u, v in ng.edges())))
-        _atlas_cache = out
-    return _atlas_cache
+    from networkx.generators.atlas import graph_atlas_g
+    out = []
+    for ng in graph_atlas_g():
+        if ng.number_of_edges() == 0:
+            continue
+        if any(d == 0 for _, d in ng.degree()):
+            continue  # isolated nodes are not representable as edge sets
+        out.append(Graph((f"v{u}", f"v{v}") for u, v in sorted(
+            (min(u, v), max(u, v)) for u, v in ng.edges())))
+    return out
 
 
 @lru_cache(maxsize=None)

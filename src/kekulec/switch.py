@@ -14,7 +14,9 @@ from itertools import product
 
 from . import gf2
 from .cells import Assignment, Cell, is_open
-from .errors import SwitchError
+from .errors import KekulecError, SwitchError
+from .graph import Graph
+from .kekule import kekule_cell
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,19 @@ class FunctionalCell:
         self.sockets = sockets
         self.current = initial
         self.trace: list[TraceStep] = []
+
+    @classmethod
+    def from_graph(cls, graph: Graph, channels: dict[str, tuple[str, str]],
+                   sockets: dict[str, tuple[str, str]],
+                   initial: tuple[str, ...] | None) -> "FunctionalCell":
+        """Functional cell over a graph's Kekulé cell, with channels named by
+        port pairs; the initial state defaults to the first member."""
+        cell = kekule_cell(graph)
+        if not cell.masks:
+            raise KekulecError("graph has no Kekulé state")
+        named = {n: cell.assignment(pair) for n, pair in channels.items()}
+        start = cell.members()[0] if initial is None else cell.assignment(initial)
+        return cls(cell, start, named, sockets)
 
     # -- signalling -------------------------------------------------------
 

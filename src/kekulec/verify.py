@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .cells import (Assignment, Cell, channel, diameter, flex, flexible_ports,
-                    parity_space, channel_decomposition)
+                    parity_space, channel_decomposition, translate)
 from .classify import BASE_CELLS, classify_cell, diameter4_template
 from .errors import CellError, KekulecError
 from .graph import Graph, cycle_rank, is_curve, signature, to_document
@@ -24,8 +24,9 @@ from .omni import is_omniconjugated, make_A, make_B, make_delta, pendant_core_is
 from .semikekule import enumerate_semi_kekule, hsk_basis, solve_semi_kekule
 from .smallgraphs import (atlas_graphs, connected_with_ports,
                           random_bounded_graph, random_connected_graph)
-from .transform import (attach_handles, flexible_subgraph, merge_node,
-                        split_node, subdivide_port_edge, translate_graph)
+from .transform import (add_internal_edge, attach_handles, flexible_subgraph,
+                        glue_ports, merge_node, split_node, subdivide_port_edge,
+                        translate_graph)
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,7 @@ def claim_cell_translation(bounds: Bounds) -> ClaimResult:
         if not g.ports:
             continue
         a = Assignment(g.ports, rng.randrange(1 << len(g.ports)))
-        translated = translate_graph(g, a)
-        from .cells import translate as cell_translate
-        if kekule_cell(translated) != cell_translate(a, kekule_cell(g)):
+        if kekule_cell(translate_graph(g, a)) != translate(a, kekule_cell(g)):
             return _fail(name, f"translate by {a} broke the cell law", g)
         done += 1
     return ClaimResult(name, True, f"{done} random (graph, assignment) instances",
@@ -205,9 +204,13 @@ def claim_merge_split(bounds: Bounds) -> ClaimResult:
     name = "merge-split-invariance"
     merges = splits = 0
     rng = random.Random(bounds.seed + 1)
-    for g in atlas_graphs(max_edges=_cap(bounds, 12)):
+
+    def check(g: Graph, merge_at, split_at) -> ClaimResult | None:
+        """Merge ``g`` at each node of ``merge_at`` and split it at each
+        ``(u, group1, group2)`` of ``split_at``; the first failure, or None."""
+        nonlocal merges, splits
         cell = None
-        for u0 in _eligible_merges(g):
+        for u0 in merge_at:
             try:
                 merged = merge_node(g, u0)
             except KekulecError:
@@ -216,13 +219,7 @@ def claim_merge_split(bounds: Bounds) -> ClaimResult:
             if kekule_cell(merged) != cell:
                 return _fail(name, f"merge at {u0} changed the cell", g)
             merges += 1
-        for u in g.internal:
-            nbs = [nb for nb, _ in g.neighbors(u)]
-            if len(nbs) < 2:
-                continue
-            k = rng.randint(1, len(nbs) - 1)
-            g1 = rng.sample(nbs, k)
-            g2 = [x for x in nbs if x not in g1]
+        for u, g1, g2 in split_at:
             split = split_node(g, u, g1, g2)
             cell = cell if cell is not None else kekule_cell(g)
             if kekule_cell(split) != cell:
@@ -231,29 +228,28 @@ def claim_merge_split(bounds: Bounds) -> ClaimResult:
             if back != g:
                 return _fail(name, f"split/merge round trip broke at {u}", g)
             splits += 1
+        return None
+
+    def random_split(g: Graph, u: str) -> tuple[str, list[str], list[str]]:
+        nbs = [nb for nb, _ in g.neighbors(u)]
+        g1 = rng.sample(nbs, rng.randint(1, len(nbs) - 1))
+        return u, g1, [x for x in nbs if x not in g1]
+
+    for g in atlas_graphs(max_edges=_cap(bounds, 12)):
+        failure = check(g, _eligible_merges(g),
+                        [random_split(g, u) for u in g.internal])
+        if failure is not None:
+            return failure
     # random top-up so each rewrite sees at least 100 instances
     while merges < 100 or splits < 100:
         g = random_connected_graph(rng, max_edges=12, max_nodes=9)
-        cell = None
-        for u0 in _eligible_merges(g)[:2]:
-            try:
-                merged = merge_node(g, u0)
-            except KekulecError:
-                continue
-            cell = cell if cell is not None else kekule_cell(g)
-            if kekule_cell(merged) != cell:
-                return _fail(name, f"merge at {u0} changed the cell", g)
-            merges += 1
+        split_at = []
         for u in g.internal[:2]:
             nbs = [nb for nb, _ in g.neighbors(u)]
-            if len(nbs) < 2:
-                continue
-            g1 = [nbs[0]]
-            split = split_node(g, u, g1, nbs[1:])
-            cell = cell if cell is not None else kekule_cell(g)
-            if kekule_cell(split) != cell:
-                return _fail(name, f"split at {u} changed the cell", g)
-            splits += 1
+            split_at.append((u, nbs[:1], nbs[1:]))
+        failure = check(g, _eligible_merges(g)[:2], split_at)
+        if failure is not None:
+            return failure
     return ClaimResult(name, True, f"{merges} merges, {splits} splits preserved",
                        stats={"merges": merges, "splits": splits})
 
@@ -387,6 +383,16 @@ def claim_flex_round_trip(bounds: Bounds) -> ClaimResult:
                        stats={"instances": done})
 
 
+def _two_port_products(bounds: Bounds) -> list[Cell]:
+    """Products of two nonempty connected 2-port Kekulé cells over the ports
+    x1,x2 (first factor) and y1,y2 (second factor)."""
+    factors = {kekule_cell(g).masks
+               for g in connected_with_ports(2, _cap(bounds, 10) - 2)}
+    return [Cell(("x1", "x2", "y1", "y2"),
+                 frozenset(a | (b << 2) for a in m1s for b in m2s))
+            for m1s in factors if m1s for m2s in factors if m2s]
+
+
 def claim_classification(bounds: Bounds) -> ClaimResult:
     """Soundness of the <=4-port classification and the diameter-4 orbit law."""
     name = "classification-small-cells"
@@ -420,20 +426,13 @@ def claim_classification(bounds: Bounds) -> ClaimResult:
     # disconnected graphs: only a 2+2 port split can reach diameter 4
     # (1-port Kekulé cells are singletons, 3-port ones have diameter <= 2,
     # and product diameters add), so products of 2-port cells settle the rest
-    two_port_cells = {kekule_cell(g).masks
-                      for g in connected_with_ports(2, _cap(bounds, 10) - 2)}
-    combined = tuple(sorted(["x1", "x2", "y1", "y2"]))
-    for m1s in two_port_cells:
-        for m2s in two_port_cells:
-            if not m1s or not m2s:
-                continue
-            product = Cell(combined, frozenset(a | (b << 2) for a in m1s for b in m2s))
-            if diameter(product) != 4:
-                continue
-            res4 = classify_cell(product)
-            if not res4.is_kekule or res4.tag not in k_tags:
-                return _fail(name, "disconnected product cell outside the orbit")
-            orbit += 1
+    for product in _two_port_products(bounds):
+        if diameter(product) != 4:
+            continue
+        res4 = classify_cell(product)
+        if not res4.is_kekule or res4.tag not in k_tags:
+            return _fail(name, "disconnected product cell outside the orbit")
+        orbit += 1
     return ClaimResult(
         name, True,
         f"{sound} cells classified sound, {orbit} diameter-4 cells in orbit",
@@ -477,7 +476,6 @@ def claim_omni_operations(bounds: Bounds) -> ClaimResult:
     for g in omni_family:
         missing = [(u, v) for u, v in combinations(g.internal, 2) if (u, v) not in g]
         for u, v in missing[:3]:
-            from .transform import add_internal_edge
             if not is_omniconjugated(add_internal_edge(g, u, v)).omniconjugated:
                 return _fail(name, f"adding internal edge {u}-{v} broke omni", g)
             ops += 1
@@ -486,7 +484,6 @@ def claim_omni_operations(bounds: Bounds) -> ClaimResult:
                 return _fail(name, f"subdividing at {p} broke omni", g)
             ops += 1
     glue_pool = [(h, True) for h in omni_family[:4]] + [(h, False) for h in non_omni]
-    from .transform import glue_ports
     for (ga, oa) in glue_pool:
         for (gb, ob) in glue_pool:
             left = _prefixed(ga, "x.")
@@ -565,18 +562,13 @@ def claim_ycell_impossible(bounds: Bounds) -> ClaimResult:
             return _fail(name, f"Y-cell realized with shared port {shared}", g)
         scanned += 1
     # disconnected candidates must factor as a 2+2 port product; scan those too
-    combined = tuple(sorted(["x1", "x2", "y1", "y2"]))
-    two_port_cells = {kekule_cell(g).masks
-                      for g in connected_with_ports(2, _cap(bounds, 10) - 2)}
     products = 0
-    for m1s in two_port_cells:
-        for m2s in two_port_cells:
-            masks = frozenset(a | (b << 2) for a in m1s for b in m2s)
-            if len(masks) != 4:
-                continue
-            if _matches_ycell(combined, masks) is not None:
-                return _fail(name, "Y-cell realized by a disconnected product")
-            products += 1
+    for product in _two_port_products(bounds):
+        if len(product) != 4:
+            continue
+        if _matches_ycell(product.ports, product.masks) is not None:
+            return _fail(name, "Y-cell realized by a disconnected product")
+        products += 1
     return ClaimResult(
         name, True,
         f"{len(graphs)} connected four-port graphs, {scanned} size-4 cells, "

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kekulec import builtin, dumps_document
+from kekulec import builtin, dumps_document, to_document
 from kekulec.cli import main
 
 
@@ -297,3 +298,65 @@ def test_cell_on_a_long_path(graph_file, capsys):
     code, out, _ = run(capsys, "cell", graph_file("path3000", text))
     assert code == 0
     assert out.splitlines() == ["ports: {n0000,n3000}", "{n0000}", "{n3000}"]
+
+
+@pytest.mark.parametrize("edge", ["ab", {"x": "u", "y": "v"}])
+def test_non_list_edge_is_domain_error(graph_file, capsys, edge):
+    path = graph_file("bad", json.dumps({"edges": [edge]}))
+    code, out, err = run(capsys, "cell", path)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: malformed edge {edge!r}"]
+
+
+def test_simulate_script_without_kekule_state(graph_file, capsys, tmp_path,
+                                              no_state_graph):
+    path = graph_file("nostate", dumps_document(to_document(no_state_graph)))
+    script = tmp_path / "walk.txt"
+    script.write_text("state\nquit\n")
+    code, out, err = run(capsys, "simulate", path, "--script", str(script))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: graph has no Kekulé state"]
+
+
+# -- no input produces a traceback ------------------------------------------------
+
+_LABELS = st.sampled_from(["a", "b", "c", "p", "q", "u", "v"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | _LABELS | st.just(""),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_LABELS, inner, max_size=3)),
+    max_leaves=6)
+_PAIR = st.lists(_LABELS, min_size=2, max_size=2, unique=True)
+_EDGES = st.lists(_PAIR, min_size=1, max_size=7, unique_by=lambda e: frozenset(e))
+_OBJECTS = st.fixed_dictionaries(
+    {"edges": _EDGES | st.lists(_PAIR | _JSON, min_size=1, max_size=4)},
+    optional={"channels": st.dictionaries(_LABELS, _PAIR, max_size=3) | _JSON,
+              "sockets": st.dictionaries(_LABELS, _PAIR, max_size=2) | _JSON,
+              "initial": st.lists(_LABELS, max_size=3, unique=True) | _JSON})
+_DOCUMENTS = st.integers(0, 3).flatmap(lambda i: _OBJECTS if i else _JSON)
+_SCRIPT = "state\nopen\nreach\nsignal a\nsocket a\nreset\nstate\nquit\n"
+_COMMANDS = [
+    ["states"], ["cell"], ["channels"], ["channels", "--at", "a,b"], ["omni"],
+    ["classify"], ["semikekule"], ["semikekule", "--assignment", "a,p"],
+    ["transform", "--translate", "a"], ["transform", "--merge", "u"],
+    ["transform", "--split", "u:a/b"], ["transform", "--subdivide", "p"],
+    ["transform", "--add-edge", "u,v"], ["simulate", "--script", "<script>"],
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_DOCUMENTS, command=st.sampled_from(_COMMANDS))
+def test_no_document_raises_out_of_main(tmp_path, capsys, document, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    script = tmp_path / "script.txt"
+    script.write_text(_SCRIPT, encoding="utf-8")
+    argv = [command[0], str(path)]
+    argv += [str(script) if a == "<script>" else a for a in command[1:]]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 1 and command[0] != "simulate":
+        assert err.splitlines()[-1].startswith("error: ")

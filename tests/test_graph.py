@@ -3,10 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from kekulec import (Graph, KekulecError, ParseError, classify_nodes,
-                     connected_components, curve_components, cycle_basis,
-                     cycle_rank, is_curve, make_delta, parse_document,
-                     parse_graph, signature)
+from kekulec import (Graph, KekulecError, ParseError, connected_components,
+                     curve_components, cycle_basis, cycle_rank, is_curve,
+                     make_delta, parse_document, parse_graph, signature)
 from kekulec import gf2
 
 import oracle
@@ -34,10 +33,18 @@ def test_parse_canonical_order():
     ([], "empty edge list"),
     ([["a", ""]], "malformed label"),
     ([["a", 3]], "malformed label"),
+    ([["a", "b", "c"]], "malformed edge"),
 ])
 def test_parse_errors(bad, message):
     with pytest.raises(ParseError, match=message):
         parse_graph(doc(bad))
+
+
+@pytest.mark.parametrize("edge", ["ab", {"x": 1, "y": 2}, {"u": "v", "w": "x"}])
+def test_parse_rejects_edges_that_are_not_lists(edge):
+    with pytest.raises(ParseError) as exc:
+        parse_document(json.dumps({"edges": [["a", "b"], edge]}))
+    assert str(exc.value) == f"malformed edge {edge!r}"
 
 
 def test_parse_unknown_key_warns():
@@ -54,22 +61,20 @@ def test_parse_functional_keys():
 
 
 def test_classify_nodes_house5(house5):
-    ports, internal, degrees = classify_nodes(house5)
-    assert ports == ("n1", "n4")
-    assert internal == ("n2", "n3", "n5")
-    assert degrees == {"n1": 1, "n4": 1, "n5": 2, "n2": 3, "n3": 3}
+    assert house5.ports == ("n1", "n4")
+    assert house5.internal == ("n2", "n3", "n5")
+    assert house5.degree == {"n1": 1, "n4": 1, "n5": 2, "n2": 3, "n3": 3}
 
 
 def test_classify_nodes_single_edge():
-    ports, internal, _ = classify_nodes(Graph([("a", "b")]))
-    assert ports == ("a", "b") and internal == ()
+    g = Graph([("a", "b")])
+    assert g.ports == ("a", "b") and g.internal == ()
 
 
 def test_classify_nodes_delta3():
     g = make_delta(3)
-    ports, internal, degrees = classify_nodes(g)
-    assert len(ports) == 3 and len(internal) == 3
-    assert all(degrees[v] == 3 for v in internal)
+    assert len(g.ports) == 3 and len(g.internal) == 3
+    assert all(g.degree[v] == 3 for v in g.internal)
 
 
 @pytest.mark.parametrize("edges, expected", [
@@ -196,9 +201,8 @@ def test_degrees_match_oracle(house5):
 
 def test_classification_accounting():
     for g in (Graph([("a", "b")]), make_delta(4)):
-        ports, internal, degrees = classify_nodes(g)
-        assert len(ports) + len(internal) == len(g.nodes)
-        assert sum(degrees.values()) == 2 * len(g.edges)
+        assert len(g.ports) + len(g.internal) == len(g.nodes)
+        assert sum(g.degree.values()) == 2 * len(g.edges)
 
 
 def test_parse_document_must_be_object():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from kekulec import (Cell, FunctionalCell, SwitchError, builtin,
-                     builtin_names, kekule_cell, parity_space, signature,
-                     verify_gate)
+from kekulec import (Builtin, Cell, FunctionalCell, KekulecError, SwitchError,
+                     builtin, builtin_names, kekule_cell, parity_space,
+                     signature, verify_gate)
 
 AND_TABLE = {(0, 0): False, (1, 0): False, (0, 1): False, (1, 1): True}
 
@@ -319,3 +319,10 @@ def test_snapshot_resets_to_initial():
     fc.signal_socket("AB")
     snap = fc.snapshot()
     assert snap.current == fc.initial and fc.current != fc.initial
+
+
+def test_functional_cell_without_kekule_state(no_state_graph):
+    with pytest.raises(KekulecError, match="^graph has no Kekulé state$"):
+        FunctionalCell.from_graph(no_state_graph, {}, {}, None)
+    with pytest.raises(KekulecError, match="^graph has no Kekulé state$"):
+        Builtin("no-state", no_state_graph).functional_cell()
