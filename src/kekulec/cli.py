@@ -12,7 +12,7 @@ import json
 import sys
 
 from .builtins import builtin, builtin_names
-from .cells import Assignment, flex, flexible_ports, parity_space
+from .cells import Assignment, flex, flexible_ports
 from .classify import classify_cell
 from .errors import KekulecError
 from .graph import (GraphDocument, dumps_document, parse_document,
@@ -144,7 +144,7 @@ def _cmd_omni(args) -> int:
     verdict = is_omniconjugated(g)
     eps = signature(g)
     realized = realized_assignment_count(g)
-    space = len(parity_space(g.ports, eps))
+    space = 1 << (len(g.ports) - 1)  # either parity class; k >= 2 here
     lines = [f"omniconjugated: {'true' if verdict.omniconjugated else 'false'}",
              f"signature: {eps}",
              f"kekulé assignments: {realized}",

@@ -10,6 +10,12 @@ the assignment forces every port edge, and a state exists exactly when the
 port-port edges agree with it and the internal nodes it leaves uncovered
 have a perfect matching among internal-internal edges (Edmonds 1965).
 :class:`_Membership` compiles that test once per graph into bit masks.
+
+The cell itself needs no enumeration either: :func:`kekule_cell` starts from
+the assignment of one state and searches over channel moves, probing each
+new assignment once.  The channel-decomposition law (any two members are
+joined by disjoint channels whose partial sums are all members) makes that
+search complete.
 """
 
 from __future__ import annotations
@@ -28,6 +34,14 @@ def _check_scale(g: Graph, allow_large: bool) -> None:
     if r > _RANK_CAP and not allow_large:
         raise KekulecError(
             f"state count bound 2^{r} exceeds 2^{_RANK_CAP}; "
+            "pass allow_large=True to override")
+
+
+def _check_port_pairs(count: int, allow_large: bool) -> None:
+    """Each free port-port edge doubles both the states and the cell."""
+    if count > _RANK_CAP and not allow_large:
+        raise KekulecError(
+            f"2^{count} free port-port edges exceed 2^{_RANK_CAP}; "
             "pass allow_large=True to override")
 
 
@@ -66,18 +80,20 @@ def _iter_cover_masks(g: Graph, forced_in: int = 0, forced_out: int = 0) -> Iter
     Depth-first with an explicit stack, so long chains cannot exhaust the
     interpreter's recursion limit; masks come out in the order of the search.
     """
-    order = sorted(g.internal, key=lambda n: (g.degree[n], n))
-    pos = {v: i for i, v in enumerate(order)}
+    degree = g.degree
+    order = sorted(g.internal, key=lambda n: (degree[n], n))
+    bit = {v: 1 << i for i, v in enumerate(order)}
     covered = 0
-    for i, v in enumerate(order):
-        cnt = (forced_in & g.incidence_mask(v)).bit_count()
-        if cnt > 1:
-            return
-        if cnt:
-            covered |= 1 << i
+    if forced_in:
+        for v in order:
+            cnt = (forced_in & g.incidence_mask(v)).bit_count()
+            if cnt > 1:
+                return
+            if cnt:
+                covered |= bit[v]
     # per node: (edge bit, covered bit of the other end, 0 for a port)
-    moves = [tuple((1 << bit, 1 << pos[other] if other in pos else 0)
-                   for other, bit in g.neighbors(v) if not forced_out >> bit & 1)
+    moves = [[(1 << e, bit.get(other, 0)) for other, e in g.neighbors(v)
+              if not forced_out >> e & 1]
              for v in order]
     n = len(order)
     stack = [(0, forced_in, covered)]
@@ -108,22 +124,23 @@ class _Membership:
     __slots__ = ("_port_node", "_port_pairs", "_adj", "_internal", "_components")
 
     def __init__(self, g: Graph):
-        index = {v: i for i, v in enumerate(g.internal)}
-        port_index = {p: i for i, p in enumerate(g.ports)}
-        self._adj = [sum(1 << index[u] for u, _ in g.neighbors(v) if u in index)
-                     for v in g.internal]
-        self._internal = (1 << len(index)) - 1
+        bit = {v: 1 << i for i, v in enumerate(g.internal)}
+        port_bit = {p: 1 << i for i, p in enumerate(g.ports)}
+        self._adj: list[int] = []
+        for v in g.internal:
+            nbrs = 0
+            for u, _ in g.neighbors(v):
+                nbrs |= bit.get(u, 0)
+            self._adj.append(nbrs)
+        self._internal = (1 << len(bit)) - 1
         # per port: bit of its internal neighbour, 0 when its neighbour is a port
         self._port_node: list[int] = []
         self._port_pairs: list[int] = []
-        for i, p in enumerate(g.ports):
+        for p in g.ports:
             (nb, _), = g.neighbors(p)
-            if nb in index:
-                self._port_node.append(1 << index[nb])
-            else:
-                self._port_node.append(0)
-                if port_index[nb] > i:
-                    self._port_pairs.append(1 << i | 1 << port_index[nb])
+            self._port_node.append(bit.get(nb, 0))
+            if nb in port_bit and nb > p:
+                self._port_pairs.append(port_bit[p] | port_bit[nb])
         self._components = self._colour_components()
 
     def _colour_components(self) -> list[tuple[int, int | None]]:
@@ -179,8 +196,10 @@ class _Membership:
     def _matchable(self, free: int) -> bool:
         """Whether the internal nodes in ``free`` have a perfect matching.
 
-        Depth-first over free masks; each step matches the free node with
-        the fewest free neighbours, and a node with none prunes the branch.
+        Depth-first over free masks.  A step scans for the free node with
+        the fewest free neighbours.  With two or more it branches on them;
+        with at most one it propagates forced moves through a worklist
+        instead of rescanning, so a long chain is matched in one sweep.
         """
         adj = self._adj
         # (free nodes after removing a branch node, its untried free neighbours)
@@ -197,8 +216,26 @@ class _Membership:
                     best, best_nbrs, best_count = low, nbrs, count
                     if count <= 1:
                         break
-            if best_count:
+            if best_count > 1:
                 stack.append((free & ~best, best_nbrs))
+            elif best_count:
+                # forced moves (Karp & Sipser 1981): a node with one free
+                # neighbour must take it, and matching the pair can force its
+                # neighbours in turn; a node left with none ends the branch
+                free ^= best | best_nbrs
+                work = (adj[best.bit_length() - 1] | adj[best_nbrs.bit_length() - 1]) & free
+                while work:
+                    node = work & -work
+                    work ^= node
+                    nbrs = adj[node.bit_length() - 1] & free
+                    if not nbrs:
+                        break
+                    if nbrs & (nbrs - 1):
+                        continue
+                    free ^= node | nbrs
+                    work = (work | adj[node.bit_length() - 1] | adj[nbrs.bit_length() - 1]) & free
+                else:
+                    continue
             if not stack:
                 return False
             rest, untried = stack.pop()
@@ -219,10 +256,7 @@ def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSub
     """All Kekulé states, ordered by edge bit vector."""
     _check_scale(g, allow_large)
     free = _port_port_bits(g)
-    if len(free) > _RANK_CAP and not allow_large:
-        raise KekulecError(
-            f"2^{len(free)} free port-port edges exceed 2^{_RANK_CAP}; "
-            "pass allow_large=True to override")
+    _check_port_pairs(len(free), allow_large)
     masks = []
     for base in _iter_cover_masks(g):
         for sel in range(1 << len(free)):
@@ -289,10 +323,36 @@ def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
 
 
 def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
-    """The set of port assignments realized by some Kekulé state."""
-    masks = frozenset(port_assignment(g, w).mask
-                      for w in enumerate_kekule_states(g, allow_large))
-    return Cell(g.ports, masks)
+    """The set of port assignments realized by some Kekulé state.
+
+    Breadth-first search over channel moves from the assignment of one
+    state: each new assignment one channel toggle away from a member is
+    probed once by :class:`_Membership`.  By the channel-decomposition law
+    any two members are joined by disjoint channels whose partial sums are
+    all members, so the search reaches the whole cell.  The cost is about
+    |cell| x k^2 probes for k ports, independent of the state count.
+    """
+    _check_scale(g, allow_large)
+    start = next(_iter_cover_masks(g), None)
+    if start is None:
+        return Cell(g.ports, frozenset())
+    ports = g.ports
+    member = port_assignment(g, EdgeSubset(g, start)).mask
+    if len(ports) < 2:
+        return Cell(ports, frozenset((member,)))
+    probe = _Membership(g)
+    _check_port_pairs(len(probe._port_pairs), allow_large)
+    moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
+    seen = {member}
+    members = [member]
+    for member in members:  # grows while it is walked: breadth-first
+        for move in moves:
+            other = member ^ move
+            if other not in seen:
+                seen.add(other)
+                if probe(other):
+                    members.append(other)
+    return Cell(ports, frozenset(members))
 
 
 # -- alternating curves -------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The compiled membership probe against the state search it replaces.
+"""The compiled membership probe and the channel-move cell search against
+the state search they replace.
 
 ``_Membership(g)(mask)`` decides cell membership by a matching search on the
 internal nodes; ``kekule_states_for`` enumerates the states of the assignment
 by backtracking.  Both must agree on every mask, of either parity.
+``kekule_cell`` walks channel moves from one state and must find exactly the
+assignments of the enumerated states.
 """
 
 import random
@@ -10,11 +13,17 @@ import random
 import networkx as nx
 import pytest
 
-from kekulec import (Assignment, Graph, has_kekule_state_for, is_omniconjugated,
-                     kekule_cell, kekule_states_for, make_delta,
+from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
+                     has_kekule_state_for, is_omniconjugated, kekule_cell,
+                     kekule_states_for, make_A, make_delta, port_assignment,
                      realized_assignment_count, signature)
 from kekulec.kekule import _Membership
-from kekulec.smallgraphs import atlas_graphs
+from kekulec.smallgraphs import atlas_graphs, random_connected_graph
+
+# an isolated port pair next to a triangle with a pendant tail and a square
+PORT_PAIR_GRAPH = Graph([("q1", "q2"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "p1"),
+                         ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "p2"),
+                         ("z", "p3")])
 
 
 def assert_probe_agrees(g):
@@ -24,6 +33,11 @@ def assert_probe_agrees(g):
         want = bool(kekule_states_for(g, a))
         assert probe(mask) == want, (g.edges, a)
         assert has_kekule_state_for(g, a) == want
+
+
+def assert_cell_agrees(g):
+    want = {port_assignment(g, w).mask for w in enumerate_kekule_states(g)}
+    assert kekule_cell(g).masks == want, g.edges
 
 
 def hex_patch(m, n, ports, rng):
@@ -54,12 +68,8 @@ def test_probe_agrees_on_hex_patches(m, n, ports, seed):
 
 
 def test_probe_agrees_with_port_port_edges():
-    # an isolated port pair next to a triangle with a pendant tail and a square
-    g = Graph([("q1", "q2"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "p1"),
-               ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "p2"),
-               ("z", "p3")])
-    assert len(_Membership(g)._port_pairs) == 1
-    assert_probe_agrees(g)
+    assert len(_Membership(PORT_PAIR_GRAPH)._port_pairs) == 1
+    assert_probe_agrees(PORT_PAIR_GRAPH)
 
 
 def test_omni_scans_match_the_cell_on_the_atlas():
@@ -75,3 +85,79 @@ def test_omni_scans_match_the_cell_on_the_atlas():
         verdict = is_omniconjugated(g)
         assert verdict.omniconjugated == (len(cell) == space)
         assert verdict.witness == (missing[0] if missing else None)
+
+
+# -- the channel-move cell search -----------------------------------------------
+
+def test_cell_agrees_on_the_atlas():
+    for g in atlas_graphs():
+        assert_cell_agrees(g)
+
+
+@pytest.mark.parametrize("g", [make_delta(n) for n in range(2, 8)]
+                         + [make_A(n) for n in range(2, 13)],
+                         ids=[f"delta{n}" for n in range(2, 8)]
+                         + [f"a{n}" for n in range(2, 13)])
+def test_cell_agrees_on_families(g):
+    assert_cell_agrees(g)
+
+
+@pytest.mark.parametrize("m, n, ports, seed", [
+    (2, 2, 4, 1), (2, 2, 6, 2), (3, 3, 6, 3), (3, 3, 8, 4), (3, 3, 10, 5),
+])
+def test_cell_agrees_on_hex_patches(m, n, ports, seed):
+    assert_cell_agrees(hex_patch(m, n, ports, random.Random(seed)))
+
+
+def test_cell_agrees_with_port_port_edges():
+    assert_cell_agrees(PORT_PAIR_GRAPH)
+
+
+def test_cell_refuses_too_many_port_pairs():
+    g = Graph([(f"p{i:02d}", f"q{i:02d}") for i in range(25)])
+    with pytest.raises(KekulecError, match="free port-port edges"):
+        kekule_cell(g)
+    assert len(kekule_cell(Graph(g.edges[:4]))) == 16
+
+
+def test_cell_of_a_graph_without_states_is_empty(no_state_graph):
+    assert kekule_cell(no_state_graph).masks == frozenset()
+    assert_cell_agrees(no_state_graph)
+
+
+def test_cell_past_the_enumeration_range():
+    # cycle rank 36: enumerating its states is out of reach, the cell is not
+    g = hex_patch(6, 6, 12, random.Random(2))
+    cell = kekule_cell(g, allow_large=True)
+    assert len(cell) == realized_assignment_count(g) == 637
+    probe = _Membership(g)
+    assert all(probe(mask) for mask in cell.masks)
+
+
+# -- forced-move propagation in the matching search ------------------------------
+
+@pytest.mark.parametrize("n", [1200, 3000])
+def test_probe_on_long_chains(n):
+    g = make_A(n)
+    probe = _Membership(g)
+    for mask in range(4):
+        assert probe(mask) == bool(kekule_states_for(g, Assignment(g.ports, mask)))
+
+
+def test_probe_agrees_on_random_graphs():
+    rng = random.Random(14)
+    for _ in range(200):
+        assert_probe_agrees(random_connected_graph(rng, max_edges=14))
+
+
+def test_probe_backtracks_out_of_a_forced_cascade():
+    # hubs v01 and v02 joined by v04 and by v08, and by the path
+    # v01-v03-v07-v06-v05-v02.  The search branches on v03 and tries v01
+    # first; that forces v04-v02, then v05-v06, and leaves v07 without a
+    # partner, so the branch must be undone before v03-v07 succeeds.
+    g = Graph([("v01", "v03"), ("v01", "v04"), ("v01", "v08"), ("v02", "v04"),
+               ("v02", "v05"), ("v02", "v08"), ("v03", "v07"), ("v05", "v06"),
+               ("v06", "v07")])
+    assert g.ports == ()
+    assert _Membership(g)(0) is True
+    assert_probe_agrees(g)
