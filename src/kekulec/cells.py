@@ -3,13 +3,19 @@ translation, flexibility, channel openness, and channel decomposition.
 
 A port assignment is a subset of a fixed, lexicographically ordered port set,
 stored as a bit vector; a cell is a set of assignments over one port set.
+Member order is :meth:`Assignment.sort_key` order, (cardinality, labels);
+as the port tuple is sorted, that is fewer bits first, then lower port
+indices, a function of the mask alone (:func:`ordered_masks`,
+:meth:`Cell.members`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
+from . import gf2
 from .errors import CellError
 
 
@@ -75,9 +81,12 @@ class Cell:
         return Cell(ports, frozenset(Assignment.of(ports, m).mask for m in members))
 
     def members(self) -> tuple[Assignment, ...]:
-        out = [Assignment(self.ports, m) for m in self.masks]
-        out.sort(key=Assignment.sort_key)
-        return tuple(out)
+        """Members in member order, sorted on the masks alone."""
+        # descending on (-bits, bits read from port 0 up): fewer bits first,
+        # then the mask that holds the first port where two masks differ
+        masks = sorted(self.masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]),
+                       reverse=True)
+        return tuple(Assignment(self.ports, m) for m in masks)
 
     def assignment(self, labels: Iterable[str] = ()) -> Assignment:
         return Assignment.of(self.ports, labels)
@@ -97,11 +106,33 @@ class Cell:
         return [str(k) for k in self.members()]
 
 
+def ordered_masks(n: int, parity: int | None = None) -> Iterator[int]:
+    """Masks over ``n`` ports in member order, lazily; only the masks of
+    one cardinality parity when ``parity`` is given."""
+    for k in range(parity or 0, n + 1, 1 if parity is None else 2):
+        for combo in combinations(range(n), k):
+            yield sum(1 << i for i in combo)
+
+
+def closure(start: int, moves: Sequence[int], accept: Callable[[int], bool]) -> frozenset[int]:
+    """Masks reachable from ``start`` by toggling ``moves`` through accepted
+    masks, breadth-first; each candidate goes to ``accept`` once, ``start``
+    never."""
+    seen = {start}
+    reached = [start]
+    for mask in reached:  # grows while it is walked: breadth-first
+        for move in moves:
+            other = mask ^ move
+            if other not in seen:
+                seen.add(other)
+                if accept(other):
+                    reached.append(other)
+    return frozenset(reached)
+
+
 def parity_space(ports: tuple[str, ...], parity: int) -> Cell:
     """All subsets of the port set whose cardinality has the given parity."""
-    masks = frozenset(m for m in range(1 << len(ports))
-                      if m.bit_count() % 2 == parity)
-    return Cell(ports, masks)
+    return Cell(ports, frozenset(ordered_masks(len(ports), parity)))
 
 
 def diameter(cell: Cell) -> int:
@@ -185,19 +216,7 @@ def channel_decomposition(cell: Cell, g: Assignment, g2: Assignment) -> list[Ass
             f"odd Hamming distance between {g} and {g2}: not a Kekulé cell")
     for pairing in _pairings(bits):
         masks = [(1 << a) | (1 << b) for a, b in pairing]
-        ok = all((g.mask ^ _subset_xor(masks, sel)) in cell.masks
-                 for sel in range(1 << len(masks)))
-        if ok:
-            out = [Assignment(cell.ports, m) for m in masks]
-            out.sort(key=Assignment.sort_key)
-            return out
+        if all(g.mask ^ s in cell.masks for s in gf2.span(masks)):
+            return list(Cell(cell.ports, frozenset(masks)).members())
     raise CellError(
         f"no disjoint channel decomposition from {g} to {g2}: not a Kekulé cell")
-
-
-def _subset_xor(masks: list[int], selector: int) -> int:
-    acc = 0
-    for i, m in enumerate(masks):
-        if selector >> i & 1:
-            acc ^= m
-    return acc

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .cells import Assignment, Cell, diameter, is_flexible, parity_space
+from .cells import Assignment, Cell, diameter, is_flexible, ordered_masks, parity_space
 from .errors import CellError, KekulecError
 from .graph import Graph
 from .kekule import kekule_cell
@@ -114,11 +114,6 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _canonical_masks(ports: tuple[str, ...]):
-    return sorted(range(1 << len(ports)),
-                  key=lambda m: Assignment(ports, m).sort_key())
-
-
 def classify_cell(cell: Cell) -> Classification:
     """Decide whether a flexible cell with at most 4 ports is a Kekulé cell.
 
@@ -154,7 +149,7 @@ def classify_cell(cell: Cell) -> Classification:
 def _classify_diameter2(cell: Cell) -> Classification:
     ports = cell.ports
     if len(ports) == 3 and len(cell) == 4:
-        k0 = min(cell.masks, key=lambda m: Assignment(ports, m).sort_key())
+        k0 = cell.members()[0].mask
         if {k0 ^ m for m in cell.masks} == parity_space(ports, 0).masks:
             ones = (1 << len(ports)) - 1
             template = translate_graph(odd_class_graph(ports),
@@ -163,7 +158,7 @@ def _classify_diameter2(cell: Cell) -> Classification:
                                   Assignment(ports, k0), template)
         return _NOT_KEKULE
     k1 = frozenset(1 << i for i in range(len(ports)))
-    for gm in _canonical_masks(ports):
+    for gm in ordered_masks(len(ports)):
         if {gm ^ m for m in cell.masks} == k1:
             template = translate_graph(star_graph(ports), Assignment(ports, gm))
             return Classification(True, "k1-star", Assignment(ports, gm), template)
@@ -173,7 +168,7 @@ def _classify_diameter2(cell: Cell) -> Classification:
 def _classify_diameter4(cell: Cell) -> Classification:
     ports = cell.ports
     assert len(ports) == 4, "diameter 4 needs four ports"
-    for gm in _canonical_masks(ports):
+    for gm in ordered_masks(len(ports)):
         for perm in permutations(range(4)):
             image = frozenset(_permute_mask(gm ^ m, perm) for m in cell.masks)
             for i, base in enumerate(BASE_CELLS):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .builtins import builtin, builtin_names
 from .cells import Assignment, flex, flexible_ports
@@ -328,6 +329,9 @@ def _cmd_simulate(args) -> int:
             except _UnknownCommand:
                 print(f"unknown command: {line}", file=sys.stderr)
                 return USAGE_ERROR
+            except OSError as exc:  # trace dump to an unwritable path
+                print(f"file error: {exc}", file=sys.stderr)
+                return USAGE_ERROR
             refused = refused or bad
             if not keep:
                 break
@@ -352,6 +356,9 @@ def _cmd_simulate(args) -> int:
             continue
         except KekulecError as exc:
             print(f"error: {exc}")
+            continue
+        except OSError as exc:
+            print(f"file error: {exc}", file=sys.stderr)
             continue
         if not keep:
             return 0
@@ -381,7 +388,9 @@ def _add_common(p: argparse.ArgumentParser, fmt: bool = True) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kekulec",
         description="Kekulé states, cells, and switching behaviour of finite graphs")

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .cells import Assignment, Cell, channel
+from . import gf2
+from .cells import Assignment, Cell, channel, closure
 from .errors import KekulecError
 from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve
 
@@ -257,15 +258,8 @@ def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSub
     _check_scale(g, allow_large)
     free = _port_port_bits(g)
     _check_port_pairs(len(free), allow_large)
-    masks = []
-    for base in _iter_cover_masks(g):
-        for sel in range(1 << len(free)):
-            extra = 0
-            for j, bit in enumerate(free):
-                if sel >> j & 1:
-                    extra |= 1 << bit
-            masks.append(base | extra)
-    masks.sort()
+    extras = list(gf2.span([1 << bit for bit in free]))
+    masks = sorted(base | extra for base in _iter_cover_masks(g) for extra in extras)
     return [EdgeSubset(g, m) for m in masks]
 
 
@@ -325,9 +319,9 @@ def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
 def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     """The set of port assignments realized by some Kekulé state.
 
-    Breadth-first search over channel moves from the assignment of one
-    state: each new assignment one channel toggle away from a member is
-    probed once by :class:`_Membership`.  By the channel-decomposition law
+    :func:`~kekulec.cells.closure` of the assignment of one state under
+    channel moves: each new assignment one channel toggle away from a member
+    is probed once by :class:`_Membership`.  By the channel-decomposition law
     any two members are joined by disjoint channels whose partial sums are
     all members, so the search reaches the whole cell.  The cost is about
     |cell| x k^2 probes for k ports, independent of the state count.
@@ -343,16 +337,7 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     probe = _Membership(g)
     _check_port_pairs(len(probe._port_pairs), allow_large)
     moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
-    seen = {member}
-    members = [member]
-    for member in members:  # grows while it is walked: breadth-first
-        for move in moves:
-            other = member ^ move
-            if other not in seen:
-                seen.add(other)
-                if probe(other):
-                    members.append(other)
-    return Cell(ports, frozenset(members))
+    return Cell(ports, closure(member, moves, probe))
 
 
 # -- alternating curves -------------------------------------------------------

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
-from .cells import Assignment
+from .cells import Assignment, ordered_masks
 from .errors import KekulecError
 from .graph import Graph, signature
 from .kekule import _Membership
@@ -25,27 +24,19 @@ class OmniVerdict:
     witness: Assignment | None
 
 
-def _parity_masks(n: int, parity: int) -> Iterator[int]:
-    """Masks of the n-port parity class in (cardinality, label) order, the
-    order of :meth:`Cell.members`."""
-    for k in range(parity, n + 1, 2):
-        for combo in combinations(range(n), k):
-            yield sum(1 << i for i in combo)
-
-
 def is_omniconjugated(g: Graph) -> OmniVerdict:
     """True iff every parity-correct port assignment has a Kekulé state.
 
     Tests membership assignment by assignment with one compiled matching
     probe instead of enumerating all states; the witness is the first
-    missing assignment in (cardinality, label) order.
+    missing assignment in member order (:func:`~kekulec.cells.ordered_masks`).
     """
     if len(g.ports) < 2:
         raise KekulecError("omniconjugation requires at least two ports")
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
     probe = _Membership(g)
-    for mask in _parity_masks(len(g.ports), signature(g)):
+    for mask in ordered_masks(len(g.ports), signature(g)):
         if not probe(mask):
             return OmniVerdict(False, Assignment(g.ports, mask))
     return OmniVerdict(True, None)
@@ -57,7 +48,7 @@ def realized_assignment_count(g: Graph) -> int:
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
     probe = _Membership(g)
-    return sum(1 for mask in _parity_masks(len(g.ports), signature(g)) if probe(mask))
+    return sum(1 for mask in ordered_masks(len(g.ports), signature(g)) if probe(mask))
 
 
 def make_A(n: int) -> Graph:

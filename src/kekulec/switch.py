@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import gf2
-from .cells import Assignment, Cell, is_open
+from .cells import Assignment, Cell, closure, is_open
 from .errors import KekulecError, SwitchError
 from .graph import Graph
 from .kekule import kekule_cell
@@ -121,19 +121,9 @@ class FunctionalCell:
 
     def reachable_states(self) -> tuple[Assignment, ...]:
         """Closure of the initial state under declared-channel toggles."""
-        seen = {self.initial.mask}
-        frontier = [self.initial.mask]
         chans = [c.mask for _, c in sorted(self.channels.items())]
-        while frontier:
-            m = frontier.pop()
-            for cm in chans:
-                nm = m ^ cm
-                if nm in self.cell.masks and nm not in seen:
-                    seen.add(nm)
-                    frontier.append(nm)
-        out = [Assignment(self.cell.ports, m) for m in seen]
-        out.sort(key=Assignment.sort_key)
-        return tuple(out)
+        reached = closure(self.initial.mask, chans, self.cell.masks.__contains__)
+        return Cell(self.cell.ports, reached).members()
 
     def snapshot(self) -> "FunctionalCell":
         """Fresh cell at the initial state with the same wiring."""

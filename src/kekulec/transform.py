@@ -11,7 +11,7 @@ from typing import Iterable
 from .cells import Assignment
 from .errors import KekulecError
 from .graph import Edge, Graph, normalize_edge
-from .kekule import enumerate_kekule_states
+from .kekule import _require_graph_assignment, enumerate_kekule_states
 
 
 def fresh_label(base: str, used: set[str]) -> str:
@@ -136,8 +136,7 @@ def subdivide_port_edge(g: Graph, p: str) -> Graph:
 
 def translate_graph(g: Graph, a: Assignment) -> Graph:
     """Subdivide once at every port of the assignment; realizes the cell a ^ K."""
-    if a.ports != g.ports:
-        raise KekulecError("assignment port set does not match the graph's ports")
+    _require_graph_assignment(g, a)
     out = g
     for p in a.labels():
         out = subdivide_port_edge(out, p)

@@ -41,6 +41,13 @@ class Bounds:
     random_count: int = 200
     seed: int = 1
 
+    def __post_init__(self):
+        # the random families draw connected graphs on at least 3 nodes
+        if self.max_edges is not None and self.max_edges < 2:
+            raise KekulecError(f"max_edges must be at least 2, got {self.max_edges}")
+        if self.random_count < 0:
+            raise KekulecError(f"random_count must be at least 0, got {self.random_count}")
+
 
 @dataclass
 class ClaimResult:
@@ -596,10 +603,8 @@ CLAIMS = [
 
 
 def run_claims(bounds: Bounds, names: list[str] | None = None) -> list[ClaimResult]:
-    wanted = set(names) if names else None
-    results = []
-    for name, fn in CLAIMS:
-        if wanted is not None and name not in wanted:
-            continue
-        results.append(fn(bounds))
-    return results
+    known = [name for name, _ in CLAIMS]
+    for name in names or ():
+        if name not in known:
+            raise KekulecError(f"unknown claim '{name}'; available: {', '.join(known)}")
+    return [fn(bounds) for name, fn in CLAIMS if not names or name in names]

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from kekulec import (Assignment, Cell, CellError, channel,
                      channel_decomposition, diameter, flex, flexible_ports,
                      hamming, is_open, parity_space, translate)
+from kekulec.cells import closure, ordered_masks
 
 PORTS4 = ("a", "b", "c", "d")
 
@@ -149,3 +152,48 @@ def test_parity_space_two_ports():
 def test_cell_format_lines():
     eth = Cell.of(("p0", "p1", "p2"), [("p1", "p2"), (), ("p0", "p1")])
     assert eth.format_lines() == ["{}", "{p0,p1}", "{p1,p2}"]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_ordered_masks_is_sort_key_order(n):
+    ports = tuple(f"p{i}" for i in range(n))
+    expected = sorted(range(1 << n), key=lambda m: Assignment(ports, m).sort_key())
+    assert list(ordered_masks(n)) == expected
+    for parity in (0, 1):
+        assert list(ordered_masks(n, parity)) == [
+            m for m in expected if m.bit_count() % 2 == parity]
+
+
+def test_members_order_is_sort_key_order():
+    rng = random.Random(7)
+    for n in range(13):
+        ports = tuple(sorted(f"q{rng.randrange(1000):03d}-{i}" for i in range(n)))
+        for _ in range(5):
+            size = rng.randint(1, min(1 << n, 300))
+            cell = Cell(ports, frozenset(rng.sample(range(1 << n), size)))
+            members = cell.members()
+            assert list(members) == sorted(members, key=Assignment.sort_key)
+            assert {k.mask for k in members} == cell.masks
+
+
+def test_closure_accepts_each_candidate_once():
+    asked = []
+
+    def accept(m):
+        asked.append(m)
+        return m != 0b0011
+
+    moves = [1 << i | 1 << j for j in range(4) for i in range(j)]
+    reached = closure(0, moves, accept)
+    even = [m for m in range(16) if m.bit_count() % 2 == 0]
+    assert reached == frozenset(even) - {0b0011}
+    # every even mask but the start is a candidate, asked exactly once
+    assert sorted(asked) == even[1:]
+
+
+def test_closure_stops_at_rejected_masks():
+    # the square 00 - 01 - 11 - 10 under single-bit moves
+    moves = [0b01, 0b10]
+    assert closure(0, moves, lambda m: m != 0b10) == frozenset({0b00, 0b01, 0b11})
+    assert closure(0, moves, lambda m: m == 0b11) == frozenset({0b00})
+    assert closure(5, [], lambda m: True) == frozenset({5})

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -240,6 +241,64 @@ def test_verify_respects_max_edges(capsys):
                        "--max-edges", "6")
     assert code == 0
     assert "PASS openness-path-equivalence" in out
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    from kekulec import cli
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    cli.build_parser()  # built at most once before counting starts
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "builtin", "--list")[0] == 0
+    assert run(capsys, "builtin", "ethene3")[0] == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-edges", "0"], "max_edges must be at least 2"),
+    (["--max-edges", "1"], "max_edges must be at least 2"),
+    (["--random-count", "-1"], "random_count must be at least 0"),
+    (["--claims", "nope"], "unknown claim 'nope'; available: state-difference-curves, "),
+    (["--claims", "parity-law,nope"], "unknown claim 'nope'"),
+])
+def test_verify_rejects_bad_bounds_and_claims(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert len(err.splitlines()) == 1
+
+
+def test_simulate_script_trace_dump_to_unwritable_path(graph_file, capsys, tmp_path):
+    path = graph_file("ethene3")
+    script = tmp_path / "walk.txt"
+    target = tmp_path / "missing" / "trace.txt"
+    script.write_text(f"signal A\ntrace dump {target}\nstate\n")
+    code, out, err = run(capsys, "simulate", path, "--script", str(script))
+    assert code == 2
+    assert err.startswith("file error: ")
+    assert out.splitlines()[-1] == f"> trace dump {target}"
+
+
+def test_simulate_interactive_trace_dump_to_unwritable_path(graph_file, tmp_path):
+    import subprocess
+    import sys
+    path = graph_file("ethene3")
+    target = tmp_path / "missing" / "trace.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kekulec", "simulate", path],
+        input=f"signal A\ntrace dump {target}\nstate\nquit\n",
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("file error: ")
+    assert "Traceback" not in proc.stderr
+    assert "> {p0,p1}" in proc.stdout
 
 
 def test_simulate_interactive_over_pipe(graph_file):

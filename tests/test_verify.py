@@ -1,6 +1,6 @@
 import pytest
 
-from kekulec import Cell
+from kekulec import Cell, KekulecError
 from kekulec import verify as verify_mod
 from kekulec.verify import Bounds, run_claims
 
@@ -61,3 +61,21 @@ def test_alternating_path_search_on_a_long_chain():
     g = make_A(3000)
     (w,) = kekule_states_for(g, Assignment(g.ports, 0))
     assert verify_mod.alternating_path_exists(g, w, "a1", "a3000")
+
+
+@pytest.mark.parametrize("kwargs", [{"max_edges": 0}, {"max_edges": 1},
+                                    {"random_count": -1}])
+def test_bounds_reject_values_the_claims_cannot_run(kwargs):
+    with pytest.raises(KekulecError):
+        Bounds(**kwargs)
+
+
+def test_smallest_bounds_run_every_claim():
+    out = run_claims(Bounds(max_edges=2, random_count=0))
+    assert [r.claim for r in out] == [name for name, _ in verify_mod.CLAIMS]
+    assert all(r.ok for r in out)
+
+
+def test_unknown_claim_id_is_an_error():
+    with pytest.raises(KekulecError, match="unknown claim 'nope'; available: "):
+        run_claims(Bounds(), ["parity-law", "nope"])
