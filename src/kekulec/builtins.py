@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .cells import parity_space
 from .classify import diameter4_template, BASE_CELLS
@@ -159,19 +160,33 @@ def builtin_names() -> list[str]:
     return sorted(_FIXED) + ["a<n>", "delta<n>"]
 
 
+# a<n> and delta<n> with more edges than this are refused
+PARAMETRIC_EDGE_CAP = 10_000
+
+
+def _parametric_n(family: str, digits: str, edges: Callable[[int], int]) -> int:
+    """n of ``a<n>`` or ``delta<n>``, whose graph has ``edges(n)`` edges."""
+    digits = digits.lstrip("0") or "0"
+    # edges(n) >= n - 1, so a number with more digits than the cap is over it
+    if (len(digits) > len(str(PARAMETRIC_EDGE_CAP))
+            or edges(int(digits)) > PARAMETRIC_EDGE_CAP):
+        raise KekulecError(f"builtin {family}<n> is limited to {PARAMETRIC_EDGE_CAP} edges")
+    return int(digits)
+
+
 def builtin(name: str) -> Builtin:
     """Look up a builtin by name, e.g. 'ethene3', 'a4', 'delta3', 'lemma2-k5'."""
     if name in _FIXED:
         return _FIXED[name]()
     m = re.fullmatch(r"a(\d+)", name)
     if m:
-        n = int(m.group(1))
+        n = _parametric_n("a", m.group(1), lambda n: n - 1)
         g = make_A(n)
         assert len(g.nodes) == n and len(g.edges) == n - 1
         return Builtin(name, g)
     m = re.fullmatch(r"delta(\d+)", name)
     if m:
-        n = int(m.group(1))
+        n = _parametric_n("delta", m.group(1), lambda n: n * (n - 1) // 2 + n)
         g = make_delta(n)
         assert len(g.nodes) == 2 * n and len(g.edges) == n * (n - 1) // 2 + n
         return Builtin(name, g)

@@ -114,10 +114,12 @@ def ordered_masks(n: int, parity: int | None = None) -> Iterator[int]:
             yield sum(1 << i for i in combo)
 
 
-def closure(start: int, moves: Sequence[int], accept: Callable[[int], bool]) -> frozenset[int]:
+def closure(start: int, moves: Sequence[int],
+            accept: Callable[[int, int], bool]) -> frozenset[int]:
     """Masks reachable from ``start`` by toggling ``moves`` through accepted
-    masks, breadth-first; each candidate goes to ``accept`` once, ``start``
-    never."""
+    masks, breadth-first.  Each candidate goes to ``accept(parent, candidate)``
+    once, ``start`` never; parents are expanded in the order they were
+    accepted, ``start`` first."""
     seen = {start}
     reached = [start]
     for mask in reached:  # grows while it is walked: breadth-first
@@ -125,7 +127,7 @@ def closure(start: int, moves: Sequence[int], accept: Callable[[int], bool]) -> 
             other = mask ^ move
             if other not in seen:
                 seen.add(other)
-                if accept(other):
+                if accept(mask, other):
                     reached.append(other)
     return frozenset(reached)
 

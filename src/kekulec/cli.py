@@ -31,14 +31,20 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
-def _read_document(path: str, lint: bool) -> GraphDocument:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    doc = parse_document(text)
+    except ValueError as exc:  # not UTF-8, or a NUL byte in the path
+        print(f"file error: {exc}: {path!r}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
+def _read_document(path: str, lint: bool) -> GraphDocument:
+    doc = parse_document(_read_text(path))
     for w in doc.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if lint:
@@ -293,7 +299,11 @@ def _simulate_command(fc: FunctionalCell, line: str, out) -> tuple[bool, bool]:
         print(f"reset -> {fc.current}", file=out)
         return True, False
     if cmd == "trace" and len(rest) == 2 and rest[0] == "dump":
-        with open(rest[1], "w", encoding="utf-8") as fh:
+        try:
+            fh = open(rest[1], "w", encoding="utf-8")
+        except ValueError as exc:  # a NUL byte in the path
+            raise OSError(f"{exc}: {rest[1]!r}") from None
+        with fh:
             for step in fc.trace:
                 if step.fired:
                     fh.write(f"signal {step.channel}\n")
@@ -313,13 +323,7 @@ def _cmd_simulate(args) -> int:
     fc = FunctionalCell.from_graph(doc.graph, doc.channels, doc.sockets, doc.initial)
     refused = False
     if args.script:
-        try:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                script = fh.read().splitlines()
-        except OSError as exc:
-            print(f"file error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        for raw in script:
+        for raw in _read_text(args.script).splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -344,6 +348,9 @@ def _cmd_simulate(args) -> int:
             raw = sys.stdin.readline()
         except KeyboardInterrupt:
             return 0
+        except UnicodeDecodeError as exc:  # stdin decoded with errors="strict"
+            print(f"file error: stdin: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         if not raw:
             return 0
         line = raw.strip()

@@ -12,14 +12,19 @@ have a perfect matching among internal-internal edges (Edmonds 1965).
 :class:`_Membership` compiles that test once per graph into bit masks.
 
 The cell itself needs no enumeration either: :func:`kekule_cell` starts from
-the assignment of one state and searches over channel moves, probing each
+the assignment of one state and searches over channel moves, deciding each
 new assignment once.  The channel-decomposition law (any two members are
 joined by disjoint channels whose partial sums are all members) makes that
-search complete.
+search complete.  Each member found carries one Kekulé state, and a move
+{p, q} from it is one alternating-path search from p to q against that state
+(:class:`_WarmMoves`); toggling the path gives the next member's state.  That
+search is exact on a bipartite core, so a graph with a port-port edge or a
+non-bipartite component decides its moves by :class:`_Membership` instead.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterator
 
 from . import gf2
@@ -247,6 +252,139 @@ class _Membership:
         return True
 
 
+class _WarmMoves:
+    """Channel moves decided against a Kekulé state carried by each member.
+
+    The ``accept`` of :func:`~kekulec.cells.closure` in :func:`kekule_cell`,
+    for a graph without port-port edges whose internal components are all
+    bipartite.  Each accepted member keeps one state as a mate array: per
+    internal node its partner, a node index or ``~p`` for port p.  A move
+    {p, q} from member ``parent`` lands in the cell iff the parent's state
+    has an alternating path from p to q (the paper's openness-path
+    equivalence); toggling that path gives the child's state.  A path
+    alternates W-edges and other edges, so on a bipartite core the kind of
+    edge that enters a node is fixed by the node's colour, and a search with
+    one visited bit per node is exact.  In front of it an O(1) cut asks that
+    the ports' neighbours share a component, with colours that differ when p
+    and q are both in or both out of ``parent`` and match otherwise.
+
+    States wait in a queue in acceptance order, which is the order
+    :func:`~kekulec.cells.closure` expands members in, and are dropped once
+    their member has been expanded.
+    """
+
+    __slots__ = ("_adj", "_port_node", "_side", "_queue", "_parent", "_mate")
+
+    def __init__(self, g: Graph, probe: _Membership, member: int, state: int):
+        self._adj = probe._adj
+        port_node = probe._port_node
+        self._port_node = [node.bit_length() - 1 for node in port_node]
+        # per port: its neighbour's component index and colour, as 2 * index + colour
+        self._side = side = [0] * len(port_node)
+        for c, (comp, colour) in enumerate(probe._components):
+            for i, node in enumerate(port_node):
+                if node & comp:
+                    side[i] = 2 * c + bool(node & colour)
+        index = {v: i for i, v in enumerate(g.internal)}
+        for i, p in enumerate(g.ports):
+            index[p] = ~i
+        # port p's slot ~p lies past the internal nodes and is cut off below
+        mate = [0] * len(index)
+        while state:
+            low = state & -state
+            state ^= low
+            u, v = g.edges[low.bit_length() - 1]
+            mate[index[u]] = index[v]
+            mate[index[v]] = index[u]
+        self._queue = deque([(member, mate[:len(self._adj)])])
+        self._parent = None
+
+    def __call__(self, parent: int, mask: int) -> bool:
+        move = parent ^ mask
+        low = move & -move
+        p, q = low.bit_length() - 1, (move ^ low).bit_length() - 1
+        side_p, side_q = self._side[p], self._side[q]
+        if side_p >> 1 != side_q >> 1 or not (side_p ^ side_q ^ parent >> p ^ parent >> q) & 1:
+            return False
+        if parent != self._parent:
+            queue = self._queue
+            member, mate = queue.popleft()
+            while member != parent:  # expanded without a move that passed the cut
+                member, mate = queue.popleft()
+            self._parent, self._mate = parent, mate
+        p_out = not parent >> p & 1
+        found = self._search(p, q, p_out)
+        if found is None:
+            return False
+        # toggle the path: each outer node takes its successor's old partner
+        back, end, tail = found
+        mate = self._mate
+        child = mate.copy()
+        child[end] = tail
+        if tail >= 0:
+            child[tail] = end
+        while back[end] != end:
+            prev = back[end]
+            child[prev] = mate[end]
+            child[mate[end]] = prev
+            end = prev
+        if p_out:
+            child[self._port_node[p]] = ~p
+        self._queue.append((mask, child))
+        return True
+
+    def _search(self, p: int, q: int, p_out: bool) -> tuple[dict[int, int], int, int] | None:
+        """(back, end, tail) of an alternating path from port p to port q.
+
+        Depth-first over outer nodes, which the path enters by a W-edge and
+        leaves by another edge; the node after an outer one is left by its
+        W-edge, to the next outer node.  ``back`` maps each outer node to its
+        predecessor (the first to itself), ``end`` is the last outer node and
+        ``tail`` the node or ``~port`` its new partner.
+        """
+        adj, mate = self._adj, self._mate
+        a, b = self._port_node[p], self._port_node[q]
+        start = a
+        if p_out:  # the edge p-a is not a W-edge, so the path goes on by a's W-edge
+            start = mate[a]
+            if start == ~q:
+                return {a: a}, a, ~p
+            if start < 0:
+                return None
+        if start == b:  # left by the edge b-q
+            return {b: b}, b, ~q
+        back = {start: start}
+        seen = 1 << a | 1 << start
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            nbrs = adj[x] & ~seen
+            seen |= nbrs
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                y = low.bit_length() - 1
+                z = mate[y]
+                if z == ~q:  # y is b, left by its W-edge to q
+                    return back, x, y
+                if z >= 0 and not seen >> z & 1:
+                    back[z] = x
+                    if z == b:  # entered by a W-edge, left by the edge b-q
+                        return back, z, ~q
+                    seen |= 1 << z
+                    stack.append(z)
+        return None
+
+
+def _move_test(g: Graph, probe: _Membership, member: int, state: int):
+    """The ``accept`` of :func:`kekule_cell`'s closure: warm-started moves
+    where they are exact, the membership probe on graphs with a port-port
+    edge or a non-bipartite component."""
+    if probe._port_pairs or any(colour is None for _, colour in probe._components):
+        return lambda _, mask: probe(mask)
+    return _WarmMoves(g, probe, member, state)
+
+
 def _port_port_bits(g: Graph) -> list[int]:
     port_set = set(g.ports)
     return [i for i, (u, v) in enumerate(g.edges)
@@ -321,10 +459,15 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
 
     :func:`~kekulec.cells.closure` of the assignment of one state under
     channel moves: each new assignment one channel toggle away from a member
-    is probed once by :class:`_Membership`.  By the channel-decomposition law
-    any two members are joined by disjoint channels whose partial sums are
-    all members, so the search reaches the whole cell.  The cost is about
-    |cell| x k^2 probes for k ports, independent of the state count.
+    is decided once.  By the channel-decomposition law any two members are
+    joined by disjoint channels whose partial sums are all members, so the
+    search reaches the whole cell.  The cost is about |cell| x k^2 moves for
+    k ports, independent of the state count.
+
+    On a graph whose internal components are all bipartite and that has no
+    port-port edge, each member carries a Kekulé state and a move is one
+    alternating-path search against it (:class:`_WarmMoves`).  Otherwise each
+    new assignment is probed by :class:`_Membership`.
     """
     _check_scale(g, allow_large)
     start = next(_iter_cover_masks(g), None)
@@ -337,7 +480,7 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     probe = _Membership(g)
     _check_port_pairs(len(probe._port_pairs), allow_large)
     moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
-    return Cell(ports, closure(member, moves, probe))
+    return Cell(ports, closure(member, moves, _move_test(g, probe, member, start)))
 
 
 # -- alternating curves -------------------------------------------------------

@@ -1,10 +1,12 @@
 import argparse
+import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kekulec import builtin, dumps_document, to_document
+from kekulec import KekulecError, builtin, dumps_document, to_document
+from kekulec.builtins import PARAMETRIC_EDGE_CAP
 from kekulec.cli import main
 
 
@@ -379,6 +381,76 @@ def test_simulate_script_without_kekule_state(graph_file, capsys, tmp_path,
     assert err.splitlines() == ["error: graph has no Kekulé state"]
 
 
+@pytest.mark.parametrize("command", [["cell"], ["transform", "--glue", "<bad>:p0,p1"]])
+def test_undecodable_document_is_usage_error(graph_file, capsys, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"edges": [["p0", "\xff"]]}')
+    argv = [command[0], graph_file("ethene3") if len(command) > 1 else str(bad)]
+    argv += [a.replace("<bad>", str(bad)) for a in command[1:]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("file error: 'utf-8' codec can't decode byte 0xff")
+    assert err.rstrip().endswith(repr(str(bad)))
+
+
+def test_undecodable_simulate_script_is_usage_error(graph_file, capsys, tmp_path):
+    script = tmp_path / "walk.txt"
+    script.write_bytes(b"signal A\n\xff\n")
+    code, out, err = run(capsys, "simulate", graph_file("ethene3"), "--script", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("file error: ")
+
+
+def test_simulate_script_trace_dump_to_a_path_with_nul(graph_file, capsys, tmp_path):
+    script = tmp_path / "walk.txt"
+    script.write_text("signal A\ntrace dump a\0b\nstate\n")
+    code, out, err = run(capsys, "simulate", graph_file("ethene3"), "--script", str(script))
+    assert code == 2
+    assert err.splitlines() == ["file error: embedded null byte: 'a\\x00b'"]
+    assert out.splitlines()[-1] == "> trace dump a\0b"
+
+
+def test_simulate_interactive_trace_dump_to_a_path_with_nul(graph_file, capsys,
+                                                             monkeypatch):
+    path = graph_file("ethene3")
+    monkeypatch.setattr("sys.stdin", io.StringIO("signal A\ntrace dump a\0b\nstate\n"))
+    code, out, err = run(capsys, "simulate", path)
+    assert code == 0
+    assert err.splitlines() == ["file error: embedded null byte: 'a\\x00b'"]
+    assert "> {p0,p1}" in out
+
+
+def test_simulate_interactive_undecodable_stdin(graph_file, capsys, monkeypatch):
+    path = graph_file("ethene3")
+    stdin = io.TextIOWrapper(io.BytesIO(b"state\n\xff\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run(capsys, "simulate", path)
+    assert code == 2
+    assert err.startswith("file error: stdin: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("name", ["a3000", "a10001", "delta6", "delta140"])
+def test_large_parametric_builtins_within_the_cap(capsys, name):
+    code, out, _ = run(capsys, "builtin", name)
+    assert code == 0
+    assert 0 < len(json.loads(out)["edges"]) <= PARAMETRIC_EDGE_CAP
+
+
+@pytest.mark.parametrize("name", ["a10002", "a" + "9" * 5000, "delta141", "delta800",
+                                  "delta" + "1" * 30])
+def test_oversized_parametric_builtins_are_domain_errors(capsys, name):
+    code, out, err = run(capsys, "builtin", name)
+    assert code == 1
+    assert out == ""
+    family = "delta" if name.startswith("delta") else "a"
+    assert err.splitlines() == [f"error: builtin {family}<n> is limited to "
+                                f"{PARAMETRIC_EDGE_CAP} edges"]
+    with pytest.raises(KekulecError, match="limited to"):
+        builtin(name)
+
+
 # -- no input produces a traceback ------------------------------------------------
 
 _LABELS = st.sampled_from(["a", "b", "c", "p", "q", "u", "v"])
@@ -419,3 +491,51 @@ def test_no_document_raises_out_of_main(tmp_path, capsys, document, command):
     assert code in (0, 1, 2)
     if code == 1 and command[0] != "simulate":
         assert err.splitlines()[-1].startswith("error: ")
+
+
+def _splice(document, at, junk):
+    text = json.dumps(document).encode()
+    return text[:at] + junk + text[at:]
+
+
+# arbitrary bytes, and JSON documents with a few arbitrary bytes spliced in
+_BYTES = st.binary(max_size=80) | st.builds(
+    _splice, _DOCUMENTS, st.integers(0, 120), st.binary(min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_BYTES, command=st.sampled_from(_COMMANDS))
+def test_no_document_bytes_raise_out_of_main(tmp_path, capsys, data, command):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    script = tmp_path / "script.txt"
+    script.write_text(_SCRIPT, encoding="utf-8")
+    argv = [command[0], str(path)]
+    argv += [str(script) if a == "<script>" else a for a in command[1:]]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 2 and command[0] != "simulate":
+        assert err.splitlines()[-1].startswith(("file error: ", "usage error: "))
+
+
+_WORDS = st.sampled_from(["signal", "socket", "trace", "dump", "state", "open",
+                          "reach", "reset", "quit", "A", "B", "AB", "S", "T", "p0",
+                          "#", "t.txt", "missing/t.txt", "a\0b", ""])
+_COMMAND_LINES = st.sampled_from(["signal A", "signal T", "socket AB", "open", "reach",
+                                  "trace dump t.txt", "trace dump missing/t.txt",
+                                  "trace dump a\0b", "reset", "state"])
+_LINES = st.lists(_COMMAND_LINES | st.lists(_WORDS, max_size=4).map(" ".join)
+                  | st.text(max_size=12), max_size=8)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["ethene3", "splitter-indene"]), lines=_LINES)
+def test_no_stdin_line_raises_out_of_simulate(graph_file, capsys, monkeypatch, tmp_path,
+                                              name, lines):
+    monkeypatch.chdir(tmp_path)  # `trace dump` writes relative paths here
+    path = graph_file(name)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, _, _ = run(capsys, "simulate", path)
+    assert code in (0, 1, 2)

@@ -1,5 +1,5 @@
 """The compiled membership probe and the channel-move cell search against
-the state search they replace.
+the state search they replace, and the warm-started moves against both.
 
 ``_Membership(g)(mask)`` decides cell membership by a matching search on the
 internal nodes; ``kekule_states_for`` enumerates the states of the assignment
@@ -17,7 +17,10 @@ from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      has_kekule_state_for, is_omniconjugated, kekule_cell,
                      kekule_states_for, make_A, make_delta, port_assignment,
                      realized_assignment_count, signature)
-from kekulec.kekule import _Membership
+from kekulec.cells import closure
+from kekulec.graph import EdgeSubset
+from kekulec.kekule import (_Membership, _WarmMoves, _iter_cover_masks, _move_test,
+                            is_kekule_state)
 from kekulec.smallgraphs import atlas_graphs, random_connected_graph
 
 # an isolated port pair next to a triangle with a pendant tail and a square
@@ -161,3 +164,202 @@ def test_probe_backtracks_out_of_a_forced_cascade():
     assert g.ports == ()
     assert _Membership(g)(0) is True
     assert_probe_agrees(g)
+
+
+# -- warm-started channel moves ---------------------------------------------------
+
+def channel_moves(k):
+    return [1 << i | 1 << j for j in range(k) for i in range(j)]
+
+
+def start_of(g):
+    """The start state of ``kekule_cell`` and its port assignment."""
+    state = next(_iter_cover_masks(g))
+    return state, port_assignment(g, EdgeSubset(g, state)).mask
+
+
+def probe_cell(g):
+    """The cell by the closure over ``_Membership`` probes."""
+    _, member = start_of(g)
+    probe = _Membership(g)
+    return closure(member, channel_moves(len(g.ports)), lambda _, mask: probe(mask))
+
+
+def mate_state(g, mate):
+    """The edge subset of a mate array: per internal node, its partner's
+    index in ``g.internal`` or ``~i`` for port ``g.ports[i]``."""
+    assert len(mate) == len(g.internal)
+    labels = [g.internal[m] if m >= 0 else g.ports[~m] for m in mate]
+    return g.subset(zip(g.internal, labels))
+
+
+def warm_cell(g):
+    """The cell by warm-started moves; each carried state must be a Kekulé
+    state realizing its member, and only unexpanded members keep one."""
+    state, member = start_of(g)
+    warm = _WarmMoves(g, _Membership(g), member, state)
+    assert is_kekule_state(g, EdgeSubset(g, state))
+    order = {member: 0}  # acceptance order
+
+    def accept(parent, mask):
+        if not warm(parent, mask):
+            return False
+        got, mate = warm._queue[-1]
+        w = mate_state(g, mate)
+        assert got == mask and is_kekule_state(g, w), (g.edges, parent, mask)
+        assert port_assignment(g, w).mask == mask
+        order[mask] = len(order)
+        # states are kept for exactly the members accepted after the parent
+        assert len(warm._queue) == len(order) - 1 - order[parent]
+        return True
+
+    return closure(member, channel_moves(len(g.ports)), accept)
+
+
+def assert_moves_exact(g):
+    """From every Kekulé state, each channel move is decided as the probe
+    decides its target, and an accepted move carries a state realizing it."""
+    probe = _Membership(g)
+    moves = channel_moves(len(g.ports))
+    for w in enumerate_kekule_states(g):
+        member = port_assignment(g, w).mask
+        warm = _WarmMoves(g, probe, member, w.mask)
+        for move in moves:
+            target = member ^ move
+            assert warm(member, target) == probe(target), (g.edges, w.mask, target)
+            if probe(target):
+                child = mate_state(g, warm._queue[-1][1])
+                assert port_assignment(g, child).mask == target
+
+
+def takes_warm_route(g):
+    state, member = start_of(g)
+    return isinstance(_move_test(g, _Membership(g), member, state), _WarmMoves)
+
+
+def assert_routes_agree(g, enumerable=True):
+    """``kekule_cell`` equals the probe closure, the warm closure where that
+    route runs, and the assignments of the enumerated states."""
+    cell = kekule_cell(g, allow_large=True).masks
+    assert cell == probe_cell(g), g.edges
+    if takes_warm_route(g):
+        assert cell == warm_cell(g), g.edges
+    if enumerable:
+        assert cell == {port_assignment(g, w).mask for w in enumerate_kekule_states(g)}
+    return cell
+
+
+def test_routes_agree_on_the_atlas():
+    warm = 0
+    for g in atlas_graphs():
+        if next(_iter_cover_masks(g), None) is None:
+            assert kekule_cell(g).masks == frozenset()
+            continue
+        assert_routes_agree(g)
+        if len(g.ports) >= 2 and takes_warm_route(g):
+            assert_moves_exact(g)
+            warm += 1
+    assert warm >= 40
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 300, 3000])
+def test_warm_route_on_chains(n):
+    g = make_A(n)
+    assert takes_warm_route(g)
+    assert_routes_agree(g)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_delta_keeps_the_probe_route(n):
+    # the complete core is not bipartite from the triangle on; delta2 is one edge
+    g = make_delta(n)
+    assert takes_warm_route(g) == (n == 2)
+    assert len(assert_routes_agree(g)) == 1 << (n - 1)
+
+
+@pytest.mark.parametrize("m, n, ports, seed", [
+    (2, 2, 4, 1), (2, 2, 6, 2), (2, 3, 6, 3), (3, 2, 8, 4), (3, 3, 8, 5),
+    (3, 3, 10, 6), (3, 4, 8, 7), (4, 3, 10, 8), (4, 4, 10, 9),
+])
+def test_warm_route_on_hex_patches(m, n, ports, seed):
+    g = hex_patch(m, n, ports, random.Random(seed))
+    assert takes_warm_route(g)
+    assert_routes_agree(g)
+    if m * n <= 6:  # every state of the larger patches takes too long
+        assert_moves_exact(g)
+
+
+def test_warm_route_past_the_enumeration_range():
+    g = hex_patch(6, 6, 12, random.Random(2))
+    assert takes_warm_route(g)
+    assert len(assert_routes_agree(g, enumerable=False)) == 637
+
+
+def test_warm_route_with_several_ports_on_one_node():
+    # a hexagon x1..x6 with two ports on x1, two on x4, one on x2 and x3,
+    # and three on the stub node y hanging off x6
+    g = Graph([("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5"), ("x5", "x6"),
+               ("x6", "x1"), ("x6", "y"), ("x1", "p1"), ("x1", "p2"), ("x4", "p3"),
+               ("x4", "p4"), ("x2", "p5"), ("x3", "p6"), ("y", "p7"), ("y", "p8"),
+               ("y", "p9")])
+    assert takes_warm_route(g)
+    cell = assert_routes_agree(g)
+    assert 0 < len(cell) < 1 << (len(g.ports) - 1)
+    assert_moves_exact(g)
+
+
+def test_random_bipartite_cores_with_crowded_ports():
+    rng = random.Random(21)
+    warm = 0
+    for _ in range(300):
+        left, right = rng.randint(1, 4), rng.randint(1, 4)
+        edges = {(f"l{i}", f"r{j}") for i in range(left) for j in range(right)
+                 if rng.random() < 0.6}
+        nodes = sorted({v for e in edges for v in e})
+        if len(nodes) < 2:
+            continue
+        edges |= {(f"p{i:02d}", rng.choice(nodes)) for i in range(rng.randint(2, 7))}
+        g = Graph(sorted(edges))
+        if next(_iter_cover_masks(g), None) is None:
+            continue
+        assert_routes_agree(g)
+        if takes_warm_route(g):
+            assert_moves_exact(g)
+            warm += 1
+    assert warm >= 100
+
+
+def test_port_port_edge_keeps_the_probe_route():
+    # a square with two ports and an isolated port pair
+    g = Graph([("q1", "q2"), ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"),
+               ("x", "p1"), ("y", "p2")])
+    assert not takes_warm_route(g)
+    assert assert_routes_agree(g) == {0b0000, 0b0011, 0b1100, 0b1111}
+    assert not takes_warm_route(PORT_PAIR_GRAPH)
+    assert_routes_agree(PORT_PAIR_GRAPH)
+    # make_A(2) is a single port-port edge
+    assert not takes_warm_route(make_A(2))
+    assert assert_routes_agree(make_A(2)) == {0b00, 0b11}
+
+
+def test_mixed_components():
+    square = [("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "p1"), ("y", "p2")]
+    triangle = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "p3")]
+    hexagon = [(f"h{i}", f"h{(i + 1) % 6}") for i in range(6)] + [("h0", "p4"),
+                                                                   ("h3", "p5")]
+    # a non-bipartite component, with ports or without, sends the graph to the probe
+    for edges in (square + triangle, square + triangle[:3] + [("c", "d")]):
+        g = Graph(edges)
+        assert not takes_warm_route(g)
+        assert_routes_agree(g)
+    # two bipartite components: the cut rejects moves across them
+    g = Graph(square + hexagon)
+    assert takes_warm_route(g)
+    assert assert_routes_agree(g) == {0b0000, 0b0011, 0b1100, 0b1111}
+
+
+def test_no_start_state_no_route(no_state_graph):
+    assert next(_iter_cover_masks(no_state_graph), None) is None
+    assert kekule_cell(no_state_graph).masks == frozenset()
+    probe = _Membership(no_state_graph)
+    assert not any(probe(mask) for mask in range(1 << len(no_state_graph.ports)))
