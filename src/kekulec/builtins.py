@@ -178,13 +178,13 @@ def builtin(name: str) -> Builtin:
     """Look up a builtin by name, e.g. 'ethene3', 'a4', 'delta3', 'lemma2-k5'."""
     if name in _FIXED:
         return _FIXED[name]()
-    m = re.fullmatch(r"a(\d+)", name)
+    m = re.fullmatch(r"a([0-9]+)", name)
     if m:
         n = _parametric_n("a", m.group(1), lambda n: n - 1)
         g = make_A(n)
         assert len(g.nodes) == n and len(g.edges) == n - 1
         return Builtin(name, g)
-    m = re.fullmatch(r"delta(\d+)", name)
+    m = re.fullmatch(r"delta([0-9]+)", name)
     if m:
         n = _parametric_n("delta", m.group(1), lambda n: n * (n - 1) // 2 + n)
         g = make_delta(n)

@@ -168,10 +168,13 @@ def _classify_diameter2(cell: Cell) -> Classification:
 def _classify_diameter4(cell: Cell) -> Classification:
     ports = cell.ports
     assert len(ports) == 4, "diameter 4 needs four ports"
-    for gm in ordered_masks(len(ports)):
+    # every base class contains 0, so only a member can translate onto one
+    translations = [gm for gm in ordered_masks(4) if gm in cell.masks]
+    bases = [(i, base) for i, base in enumerate(BASE_CELLS) if len(base) == len(cell)]
+    for gm in translations:
         for perm in permutations(range(4)):
             image = frozenset(_permute_mask(gm ^ m, perm) for m in cell.masks)
-            for i, base in enumerate(BASE_CELLS):
+            for i, base in bases:
                 if image == base:
                     inv = tuple(perm.index(j) for j in range(4))
                     plabels = tuple(ports[inv[j]] for j in range(4))

@@ -61,6 +61,15 @@ def _parse_labels(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
 
+def _parse_assignment(text: str, flag: str) -> tuple[str, ...]:
+    """The port labels of an assignment flag; none may repeat."""
+    labels = _parse_labels(text)
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise KekulecError(f"duplicate label '{label}' in {flag}")
+    return labels
+
+
 def _emit(args, text_lines: list[str], json_obj) -> None:
     if getattr(args, "format", "text") == "json":
         print(json.dumps(json_obj, sort_keys=True))
@@ -109,7 +118,7 @@ def _cmd_semikekule(args) -> int:
     out = {"r": r, "cycles": [[list(e) for e in c.edges()] for c in basis],
            "states_per_assignment": 2 ** r}
     if args.assignment is not None:
-        a = Assignment.of(g.ports, _parse_labels(args.assignment))
+        a = Assignment.of(g.ports, _parse_assignment(args.assignment, "--assignment"))
         states = enumerate_semi_kekule(g, a)
         lines.append(f"assignment {a}: {len(states)} states")
         lines += [str(w) for w in states]
@@ -124,7 +133,7 @@ def _cmd_channels(args) -> int:
     g = doc.graph
     cell = kekule_cell(g, allow_large=args.allow_large)
     if args.at is not None:
-        at = cell.assignment(_parse_labels(args.at))
+        at = cell.assignment(_parse_assignment(args.at, "--at"))
     elif doc.initial is not None:
         at = cell.assignment(doc.initial)
     else:
@@ -211,7 +220,7 @@ def _cmd_transform(args) -> int:
         out_graph = subdivide_port_edge(g, args.subdivide)
         op = f"subdivide {args.subdivide}"
     elif args.translate:
-        a = Assignment.of(g.ports, _parse_labels(args.translate))
+        a = Assignment.of(g.ports, _parse_assignment(args.translate, "--translate"))
         out_graph = translate_graph(g, a)
         op = f"translate {a}"
     elif args.add_edge:

@@ -36,7 +36,6 @@ class Graph:
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         seen: set[Edge] = set()
-        canon: list[Edge] = []
         for pair in edges:
             # a pair must be a list or tuple: a two-letter string or a two-key
             # object would unpack too (exact type tests keep this loop cheap)
@@ -44,34 +43,48 @@ class Graph:
                 u, v = pair if type(pair) is tuple or type(pair) is list else ()
             except (TypeError, ValueError):
                 raise ParseError(f"malformed edge {pair!r}") from None
-            for label in (u, v):
-                if not isinstance(label, str) or not label:
-                    raise ParseError(f"malformed label {label!r}")
+            if not isinstance(u, str) or not u:
+                raise ParseError(f"malformed label {u!r}")
+            if not isinstance(v, str) or not v:
+                raise ParseError(f"malformed label {v!r}")
             if u == v:
                 raise ParseError(f"self-loop at node '{u}'")
-            e = normalize_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ParseError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
-            canon.append(e)
-        canon.sort()
-        self.edges: tuple[Edge, ...] = tuple(canon)
-        self._index: dict[Edge, int] = {e: i for i, e in enumerate(canon)}
+        self.edges: tuple[Edge, ...] = tuple(sorted(seen))
 
-        degree: dict[str, int] = {}
+        # One pass over the canonical order.  A node's (x, n) edges (x < n)
+        # precede its (n, y) edges, so each list of neighbours comes out in
+        # label order without a sort.
+        index: dict[Edge, int] = {}
         incidence: dict[str, int] = {}
         adj: dict[str, list[tuple[str, int]]] = {}
-        for i, (u, v) in enumerate(canon):
-            for a, b in ((u, v), (v, u)):
-                degree[a] = degree.get(a, 0) + 1
-                incidence[a] = incidence.get(a, 0) | (1 << i)
-                adj.setdefault(a, []).append((b, i))
-        self.nodes: tuple[str, ...] = tuple(sorted(degree))
+        for i, e in enumerate(self.edges):
+            index[e] = i
+            bit = 1 << i
+            u, v = e
+            if u in adj:
+                adj[u].append((v, i))
+                incidence[u] |= bit
+            else:
+                adj[u] = [(v, i)]
+                incidence[u] = bit
+            if v in adj:
+                adj[v].append((u, i))
+                incidence[v] |= bit
+            else:
+                adj[v] = [(u, i)]
+                incidence[v] = bit
+        self._index = index
+        self._incidence = incidence
+        self._adj = {n: tuple(pairs) for n, pairs in adj.items()}
+        degree = {n: len(pairs) for n, pairs in adj.items()}
         self.degree: dict[str, int] = degree
+        self.nodes: tuple[str, ...] = tuple(sorted(adj))
         self.ports: tuple[str, ...] = tuple(n for n in self.nodes if degree[n] == 1)
         self.internal: tuple[str, ...] = tuple(n for n in self.nodes if degree[n] > 1)
-        self._incidence = incidence
-        self._adj = {n: tuple(sorted(pairs)) for n, pairs in adj.items()}
         self._hash = hash(self.edges)
 
     # -- basic queries ---------------------------------------------------
@@ -214,8 +227,9 @@ def is_curve(g: Graph, c: EdgeSubset) -> bool:
     """True iff every node of ``c`` that is internal in ``g`` has degree 2 in ``c``."""
     if c.graph != g:
         raise KekulecError("subset belongs to a different graph")
-    for n in c.nodes():
-        if g.degree[n] > 1 and c.degree_in(n) != 2:
+    mask, incidence = c.mask, g._incidence
+    for n in g.internal:
+        if (mask & incidence[n]).bit_count() not in (0, 2):
             return False
     return True
 

@@ -36,8 +36,12 @@ _RANK_CAP = 24
 
 
 def _check_scale(g: Graph, allow_large: bool) -> None:
+    # every component has at least two nodes, so the rank E - V + C is at
+    # most E - ceil(V/2): when that is in range, skip the component scan
+    if allow_large or len(g.edges) - (len(g.nodes) + 1) // 2 <= _RANK_CAP:
+        return
     r = cycle_rank(g)
-    if r > _RANK_CAP and not allow_large:
+    if r > _RANK_CAP:
         raise KekulecError(
             f"state count bound 2^{r} exceeds 2^{_RANK_CAP}; "
             "pass allow_large=True to override")
@@ -127,26 +131,36 @@ class _Membership:
     perfect matching of the free nodes.
     """
 
-    __slots__ = ("_port_node", "_port_pairs", "_adj", "_internal", "_components")
+    __slots__ = ("_index", "_port_node", "_port_pairs", "_adj", "_internal",
+                 "_components")
 
     def __init__(self, g: Graph):
-        bit = {v: 1 << i for i, v in enumerate(g.internal)}
-        port_bit = {p: 1 << i for i, p in enumerate(g.ports)}
+        # internal node i is bit i, port j is ~j (:class:`_WarmMoves` reads
+        # states with the same numbering)
+        self._index = index = {v: i for i, v in enumerate(g.internal)}
+        for j, p in enumerate(g.ports):
+            index[p] = ~j
         self._adj: list[int] = []
         for v in g.internal:
             nbrs = 0
             for u, _ in g.neighbors(v):
-                nbrs |= bit.get(u, 0)
+                i = index[u]
+                if i >= 0:
+                    nbrs |= 1 << i
             self._adj.append(nbrs)
-        self._internal = (1 << len(bit)) - 1
+        self._internal = (1 << len(g.internal)) - 1
         # per port: bit of its internal neighbour, 0 when its neighbour is a port
         self._port_node: list[int] = []
         self._port_pairs: list[int] = []
-        for p in g.ports:
+        for j, p in enumerate(g.ports):
             (nb, _), = g.neighbors(p)
-            self._port_node.append(bit.get(nb, 0))
-            if nb in port_bit and nb > p:
-                self._port_pairs.append(port_bit[p] | port_bit[nb])
+            i = index[nb]
+            if i >= 0:
+                self._port_node.append(1 << i)
+            else:
+                self._port_node.append(0)
+                if nb > p:
+                    self._port_pairs.append(1 << j | 1 << ~i)
         self._components = self._colour_components()
 
     def _colour_components(self) -> list[tuple[int, int | None]]:
@@ -285,9 +299,7 @@ class _WarmMoves:
             for i, node in enumerate(port_node):
                 if node & comp:
                     side[i] = 2 * c + bool(node & colour)
-        index = {v: i for i, v in enumerate(g.internal)}
-        for i, p in enumerate(g.ports):
-            index[p] = ~i
+        index = probe._index
         # port p's slot ~p lies past the internal nodes and is cut off below
         mate = [0] * len(index)
         while state:
@@ -491,9 +503,13 @@ def is_alternating(g: Graph, c: EdgeSubset, w: EdgeSubset) -> bool:
     _require_same_graph(g, w)
     if not is_curve(g, c):
         return False
-    wc = w.mask & c.mask
-    for n in c.nodes():
-        if c.degree_in(n) >= 2 and (wc & g.incidence_mask(n)).bit_count() != 1:
+    # a curve meets a port in at most one edge, so W & c is a Kekulé state
+    # of c iff each internal node c meets has exactly one W-edge in c
+    mask, incidence = c.mask, g._incidence
+    wc = w.mask & mask
+    for n in g.internal:
+        m = incidence[n]
+        if mask & m and (wc & m).bit_count() != 1:
             return False
     return True
 

@@ -151,3 +151,25 @@ def alternating_path_exists(edges, w, p, q):
         if ends == {p, q}:
             return True
     return False
+
+
+def graph_attributes(edges):
+    """Node tuples, degrees, neighbour lists, incidence masks and edge
+    indices of a valid edge list, each built on its own from the sorted
+    edge list."""
+    es = sorted(set(norm(edges)))
+    index = {e: i for i, e in enumerate(es)}
+    deg = degree_map(es)
+    nodes = tuple(sorted(deg))
+    return {
+        "edges": tuple(es),
+        "nodes": nodes,
+        "ports": tuple(n for n in nodes if deg[n] == 1),
+        "internal": tuple(n for n in nodes if deg[n] > 1),
+        "degree": deg,
+        "neighbors": {n: tuple(sorted((v if u == n else u, index[(u, v)])
+                                      for u, v in es if n in (u, v)))
+                      for n in nodes},
+        "incidence": {n: sum(1 << index[e] for e in es if n in e) for n in nodes},
+        "index": index,
+    }

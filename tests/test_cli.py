@@ -451,6 +451,34 @@ def test_oversized_parametric_builtins_are_domain_errors(capsys, name):
         builtin(name)
 
 
+
+@pytest.mark.parametrize("name", ["a\u0663", "delta\u0663", "a\uff13", "delta\u09ea"])
+def test_parametric_builtins_take_ascii_digits_only(capsys, name):
+    code, out, err = run(capsys, "builtin", name)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: unknown builtin '{name}'")
+    with pytest.raises(KekulecError, match="unknown builtin"):
+        builtin(name)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("transform", "--translate"), ("channels", "--at"), ("semikekule", "--assignment")])
+def test_assignment_flags_refuse_a_repeated_label(graph_file, capsys, command, flag):
+    path = graph_file("ethene3")
+    code, out, err = run(capsys, command, path, flag, "p0,p0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: duplicate label 'p0' in {flag}"]
+
+
+def test_add_edge_with_equal_ends_keeps_its_message(graph_file, capsys):
+    path = graph_file("ethene3")
+    code, _, err = run(capsys, "transform", path, "--add-edge", "u,u")
+    assert code == 1
+    assert err.splitlines() == ["error: endpoints must differ"]
+
+
 # -- no input produces a traceback ------------------------------------------------
 
 _LABELS = st.sampled_from(["a", "b", "c", "p", "q", "u", "v"])
