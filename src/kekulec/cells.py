@@ -109,9 +109,10 @@ class Cell:
 def ordered_masks(n: int, parity: int | None = None) -> Iterator[int]:
     """Masks over ``n`` ports in member order, lazily; only the masks of
     one cardinality parity when ``parity`` is given."""
+    bits = [1 << i for i in range(n)]
     for k in range(parity or 0, n + 1, 1 if parity is None else 2):
-        for combo in combinations(range(n), k):
-            yield sum(1 << i for i in combo)
+        for combo in combinations(bits, k):
+            yield sum(combo)
 
 
 def closure(start: int, moves: Sequence[int],

@@ -159,8 +159,9 @@ def _cmd_omni(args) -> int:
     g = doc.graph
     verdict = is_omniconjugated(g)
     eps = signature(g)
-    realized = realized_assignment_count(g)
     space = 1 << (len(g.ports) - 1)  # either parity class; k >= 2 here
+    # an omniconjugated graph realizes its whole parity class
+    realized = space if verdict.omniconjugated else realized_assignment_count(g)
     lines = [f"omniconjugated: {'true' if verdict.omniconjugated else 'false'}",
              f"signature: {eps}",
              f"kekulé assignments: {realized}",

@@ -217,8 +217,12 @@ class _Membership:
         """Whether the internal nodes in ``free`` have a perfect matching.
 
         Depth-first over free masks.  A step scans for the free node with
-        the fewest free neighbours.  With two or more it branches on them;
-        with at most one it propagates forced moves through a worklist
+        the fewest free neighbours.  With two or more it branches on them,
+        unless that minimum degree is at least half the free nodes: by
+        Dirac (1952) the free nodes then have a Hamiltonian cycle, and as
+        their number is even (the parity cut ran first and every step
+        removes a pair), every other edge of it is a perfect matching.
+        With at most one it propagates forced moves through a worklist
         instead of rescanning, so a long chain is matched in one sweep.
         """
         adj = self._adj
@@ -237,6 +241,8 @@ class _Membership:
                     if count <= 1:
                         break
             if best_count > 1:
+                if 2 * best_count >= free.bit_count():  # Dirac's condition
+                    return True
                 stack.append((free & ~best, best_nbrs))
             elif best_count:
                 # forced moves (Karp & Sipser 1981): a node with one free
@@ -388,13 +394,19 @@ class _WarmMoves:
         return None
 
 
+def _warm_route_exact(probe: _Membership) -> bool:
+    """Whether :class:`_WarmMoves` decides every move of the probe's graph
+    exactly: the graph has no port-port edge and every internal component
+    is bipartite."""
+    return not probe._port_pairs and all(colour is not None for _, colour in probe._components)
+
+
 def _move_test(g: Graph, probe: _Membership, member: int, state: int):
     """The ``accept`` of :func:`kekule_cell`'s closure: warm-started moves
-    where they are exact, the membership probe on graphs with a port-port
-    edge or a non-bipartite component."""
-    if probe._port_pairs or any(colour is None for _, colour in probe._components):
-        return lambda _, mask: probe(mask)
-    return _WarmMoves(g, probe, member, state)
+    where they are exact, the membership probe elsewhere."""
+    if _warm_route_exact(probe):
+        return _WarmMoves(g, probe, member, state)
+    return lambda _, mask: probe(mask)
 
 
 def _port_port_bits(g: Graph) -> list[int]:

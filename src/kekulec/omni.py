@@ -1,5 +1,13 @@
 """Omniconjugation: graphs whose Kekulé cell fills the whole parity class,
 plus the constructive families A_n, Delta_n, and the basic model B.
+
+:func:`is_omniconjugated` scans the parity class with one compiled
+membership probe and stops at the first missing assignment.  On dense cores
+such as Delta_n a probe mostly ends after one scan of the free nodes: when
+their minimum degree is at least half their number, Dirac's theorem (1952)
+gives a Hamiltonian cycle and so a perfect matching.
+:func:`realized_assignment_count` counts the warm-started Kekulé cell where
+its channel moves are exact, and scans the parity class elsewhere.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from itertools import combinations
 from .cells import Assignment, ordered_masks
 from .errors import KekulecError
 from .graph import Graph, signature
-from .kekule import _Membership
+from .kekule import _Membership, _warm_route_exact, kekule_cell
 from .transform import add_internal_edge
 
 _PORT_CAP = 20
@@ -43,11 +51,18 @@ def is_omniconjugated(g: Graph) -> OmniVerdict:
 
 
 def realized_assignment_count(g: Graph) -> int:
-    """Number of port assignments with at least one Kekulé state, by one
-    compiled matching probe per parity-correct assignment."""
+    """Number of port assignments with at least one Kekulé state.
+
+    The size of the Kekulé cell where :func:`~kekulec.kekule.kekule_cell`
+    decides its channel moves against carried states (no port-port edge,
+    every internal component bipartite); elsewhere one compiled matching
+    probe per parity-correct assignment.
+    """
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
     probe = _Membership(g)
+    if _warm_route_exact(probe):
+        return len(kekule_cell(g, allow_large=True))
     return sum(1 for mask in ordered_masks(len(g.ports), signature(g)) if probe(mask))
 
 

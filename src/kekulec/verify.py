@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .cells import (Assignment, Cell, channel, diameter, flex, flexible_ports,
@@ -390,14 +391,35 @@ def claim_flex_round_trip(bounds: Bounds) -> ClaimResult:
                        stats={"instances": done})
 
 
-def _two_port_products(bounds: Bounds) -> list[Cell]:
+# claim_classification and claim_ycell_impossible scan the same two
+# universes.  The 2+2-port products are small and cached.  The connected
+# 4-port graphs (about 5 MB at the default cap) are handed on from the first
+# claim to the second, which runs after it in CLAIMS: a pass builds them once
+# and does not hold them while the other claims run.
+_HANDED_ON: dict[int, tuple[Graph, ...]] = {}
+
+
+def _four_port_graphs(max_edges: int, hand_on: bool) -> tuple[Graph, ...]:
+    """Every connected 4-port graph with at most ``max_edges`` edges, kept
+    for the next call when ``hand_on`` and released otherwise."""
+    graphs = _HANDED_ON.pop(max_edges, None)
+    if graphs is None:
+        graphs = tuple(connected_with_ports(4, max_edges))
+    if hand_on:
+        _HANDED_ON[max_edges] = graphs
+    return graphs
+
+
+@lru_cache(maxsize=1)
+def _two_port_products(max_edges: int) -> tuple[Cell, ...]:
     """Products of two nonempty connected 2-port Kekulé cells over the ports
-    x1,x2 (first factor) and y1,y2 (second factor)."""
+    x1,x2 (first factor) and y1,y2 (second factor), each factor's graph
+    with at most ``max_edges - 2`` edges."""
     factors = {kekule_cell(g).masks
-               for g in connected_with_ports(2, _cap(bounds, 10) - 2)}
-    return [Cell(("x1", "x2", "y1", "y2"),
-                 frozenset(a | (b << 2) for a in m1s for b in m2s))
-            for m1s in factors if m1s for m2s in factors if m2s]
+               for g in connected_with_ports(2, max_edges - 2)}
+    return tuple(Cell(("x1", "x2", "y1", "y2"),
+                      frozenset(a | (b << 2) for a in m1s for b in m2s))
+                 for m1s in factors if m1s for m2s in factors if m2s)
 
 
 def claim_classification(bounds: Bounds) -> ClaimResult:
@@ -421,8 +443,10 @@ def claim_classification(bounds: Bounds) -> ClaimResult:
 
     k_tags = {f"k{i}" for i in range(6)}
     orbit = 0
+    # built before the 4-port graphs are held, so the peaks do not add up
+    products = _two_port_products(_cap(bounds, 10))
     # every connected 4-port graph with <= 10 edges (complete: cores <= 6 edges)
-    for g in connected_with_ports(4, _cap(bounds, 10)):
+    for g in _four_port_graphs(_cap(bounds, 10), hand_on=True):
         cell = kekule_cell(g)
         if not cell.masks or diameter(cell) != 4:
             continue
@@ -433,7 +457,7 @@ def claim_classification(bounds: Bounds) -> ClaimResult:
     # disconnected graphs: only a 2+2 port split can reach diameter 4
     # (1-port Kekulé cells are singletons, 3-port ones have diameter <= 2,
     # and product diameters add), so products of 2-port cells settle the rest
-    for product in _two_port_products(bounds):
+    for product in products:
         if diameter(product) != 4:
             continue
         res4 = classify_cell(product)
@@ -558,7 +582,7 @@ def _matches_ycell(ports: tuple[str, ...], masks: frozenset[int]) -> str | None:
 def claim_ycell_impossible(bounds: Bounds) -> ClaimResult:
     """No 4-port graph realizes the Y-cell with channels sharing one port."""
     name = "ycell-4port-impossibility"
-    graphs = connected_with_ports(4, _cap(bounds, 10))
+    graphs = _four_port_graphs(_cap(bounds, 10), hand_on=False)
     scanned = 0
     for g in graphs:
         cell = kekule_cell(g)
@@ -570,7 +594,7 @@ def claim_ycell_impossible(bounds: Bounds) -> ClaimResult:
         scanned += 1
     # disconnected candidates must factor as a 2+2 port product; scan those too
     products = 0
-    for product in _two_port_products(bounds):
+    for product in _two_port_products(_cap(bounds, 10)):
         if len(product) != 4:
             continue
         if _matches_ycell(product.ports, product.masks) is not None:

@@ -3,6 +3,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# The suite shares a 2-vCPU host whose speed swings by up to 1.6x, so a
+# per-example deadline only measures the neighbours; each test keeps its own
+# max_examples.
+settings.register_profile("kekulec", deadline=None)
+settings.load_profile("kekulec")
 
 sys.path.insert(0, str(Path(__file__).parent))
 # tests that run `python -m kekulec` in a child process need the same sources

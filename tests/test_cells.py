@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -162,6 +163,20 @@ def test_ordered_masks_is_sort_key_order(n):
     for parity in (0, 1):
         assert list(ordered_masks(n, parity)) == [
             m for m in expected if m.bit_count() % 2 == parity]
+
+
+def _ordered_masks_by_index_sums(n, parity=None):
+    """``ordered_masks`` as first written: one generator sum per mask."""
+    for k in range(parity or 0, n + 1, 1 if parity is None else 2):
+        for combo in combinations(range(n), k):
+            yield sum(1 << i for i in combo)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_ordered_masks_keeps_the_index_sum_sequence(n):
+    # witnesses and member order rest on this exact sequence
+    for parity in (None, 0, 1):
+        assert list(ordered_masks(n, parity)) == list(_ordered_masks_by_index_sums(n, parity))
 
 
 def test_members_order_is_sort_key_order():

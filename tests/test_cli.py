@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kekulec import KekulecError, builtin, dumps_document, to_document
-from kekulec.builtins import PARAMETRIC_EDGE_CAP
-from kekulec.cli import main
+from kekulec import KekulecError, builtin, dumps_document, kekule_cell, to_document
+from kekulec.builtins import PARAMETRIC_EDGE_CAP, builtin_names
+from kekulec.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -95,6 +95,31 @@ def test_omni_witness(graph_file, capsys):
     code, out, _ = run(capsys, "omni", path)
     assert code == 0
     assert "witness: {p0,p2}" in out
+
+
+def test_omni_golden_output(graph_file, capsys):
+    path = graph_file("ethene3")
+    code, out, _ = run(capsys, "omni", path)
+    assert code == 0
+    assert out.splitlines() == ["omniconjugated: false", "signature: 0",
+                                "kekulé assignments: 3", "parity space: 4",
+                                "witness: {p0,p2}"]
+    code, out, _ = run(capsys, "omni", path, "--format", "json")
+    assert out == ('{"kekule_assignments": 3, "omniconjugated": false, "parity_space": 4, '
+                   '"signature": 0, "witness": ["p0", "p2"]}\n')
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() + ["a7", "delta6"]
+                                  if "<" not in n and len(builtin(n).graph.ports) >= 2])
+def test_omni_counts_the_cell(graph_file, capsys, name):
+    # an omniconjugated graph prints its parity space without counting; the
+    # count must still be the size of the cell
+    g = builtin(name).graph
+    code, out, _ = run(capsys, "omni", graph_file(name), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["kekule_assignments"] == len(kekule_cell(g, allow_large=True))
+    assert data["omniconjugated"] == (data["kekule_assignments"] == data["parity_space"])
 
 
 def test_classify_ethene(graph_file, capsys):
@@ -505,7 +530,7 @@ _COMMANDS = [
 ]
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(document=_DOCUMENTS, command=st.sampled_from(_COMMANDS))
 def test_no_document_raises_out_of_main(tmp_path, capsys, document, command):
@@ -531,7 +556,7 @@ _BYTES = st.binary(max_size=80) | st.builds(
     _splice, _DOCUMENTS, st.integers(0, 120), st.binary(min_size=1, max_size=4))
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_BYTES, command=st.sampled_from(_COMMANDS))
 def test_no_document_bytes_raise_out_of_main(tmp_path, capsys, data, command):
@@ -557,7 +582,7 @@ _LINES = st.lists(_COMMAND_LINES | st.lists(_WORDS, max_size=4).map(" ".join)
                   | st.text(max_size=12), max_size=8)
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(["ethene3", "splitter-indene"]), lines=_LINES)
 def test_no_stdin_line_raises_out_of_simulate(graph_file, capsys, monkeypatch, tmp_path,
@@ -566,4 +591,73 @@ def test_no_stdin_line_raises_out_of_simulate(graph_file, capsys, monkeypatch, t
     path = graph_file(name)
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code, _, _ = run(capsys, "simulate", path)
+    assert code in (0, 1, 2)
+
+
+# argv drawn from the real parser: a subcommand, its positional, some of its
+# options with values that mostly fit them, and now and then arbitrary tokens;
+# or arbitrary tokens alone.  File names are relative to the test's directory.
+_PARSER = build_parser()
+(_SUBPARSERS,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+_ARGV_JUNK = st.text(max_size=10) | st.sampled_from(
+    sorted(_SUBPARSERS.choices)
+    + sorted({o for p in _SUBPARSERS.choices.values() for a in p._actions
+              for o in a.option_strings})
+    + ["not-utf8.json", "missing.json", ".", "-", "", "--", "99999999999"])
+_ARGV_DOCUMENTS = ("ethene3", "splitter-indene", "house5")
+_ARGV_POSITIONALS = {
+    "graph": st.sampled_from([f"{name}.json" for name in _ARGV_DOCUMENTS]),
+    "name": st.sampled_from(builtin_names() + ["a5", "delta4", "a1", "nope"]),
+}
+_ARGV_LABELS = st.sampled_from(["p0,p2", "p0,p1,p2", "p1", "p0,p0", "a,b", "-", "", "u",
+                                "u:p0/p2", "u:p0,v/p1", "u:a/b", "u,v", "p0,u", "v,u",
+                                "ethene3.json:p0,p1", "script.txt", "not-utf8.json:p0",
+                                "omni-families,parity-law", "nope"])
+
+
+def _option_argv(action):
+    flag = st.sampled_from(action.option_strings)
+    if action.nargs == 0:
+        return flag.map(lambda f: [f])
+    if action.choices:
+        value = st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        value = st.integers(-3, 12).map(str)
+    else:
+        value = _ARGV_LABELS
+    return st.tuples(flag, value | _ARGV_JUNK).map(list)
+
+
+def _command_argv(command):
+    sub = _SUBPARSERS.choices[command]
+    positionals = [st.lists(_ARGV_POSITIONALS[a.dest], min_size=1, max_size=1)
+                   for a in sub._actions if not a.option_strings]
+    actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    parts = [st.just([command]), *positionals,
+             st.lists(st.one_of([_option_argv(a) for a in actions]), max_size=3)
+             .map(lambda opts: sum(opts, [])),
+             st.sampled_from([0, 0, 0, 1, 2]).flatmap(
+                 lambda n: st.lists(_ARGV_JUNK, min_size=n, max_size=n))]
+    return st.tuples(*parts).map(lambda ps: sum(ps, []))
+
+
+_ARGV = (st.sampled_from(sorted(_SUBPARSERS.choices)).flatmap(_command_argv)
+         | st.lists(_ARGV_JUNK, max_size=6))
+
+
+@settings(max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV, max_edges=st.integers(2, 4), random_count=st.integers(0, 2))
+def test_no_argv_raises_out_of_main(graph_file, capsys, monkeypatch, tmp_path,
+                                    argv, max_edges, random_count):
+    monkeypatch.chdir(tmp_path)
+    for name in _ARGV_DOCUMENTS:
+        graph_file(name)
+    (tmp_path / "script.txt").write_text(_SCRIPT, encoding="utf-8")
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff{}")
+    monkeypatch.setattr("sys.stdin", io.StringIO(_SCRIPT))  # the interactive loop
+    if next((t for t in argv if not t.startswith("-")), None) == "verify":
+        # the last occurrence wins: every claim stays within tiny universes
+        argv += ["--max-edges", str(max_edges), "--random-count", str(random_count)]
+    code, _, _ = run(capsys, *argv)
     assert code in (0, 1, 2)

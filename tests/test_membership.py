@@ -17,11 +17,13 @@ from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      has_kekule_state_for, is_omniconjugated, kekule_cell,
                      kekule_states_for, make_A, make_delta, port_assignment,
                      realized_assignment_count, signature)
-from kekulec.cells import closure
+from kekulec.cells import closure, ordered_masks
 from kekulec.graph import EdgeSubset
 from kekulec.kekule import (_Membership, _WarmMoves, _iter_cover_masks, _move_test,
-                            is_kekule_state)
+                            _warm_route_exact, is_kekule_state)
 from kekulec.smallgraphs import atlas_graphs, random_connected_graph
+
+import oracle
 
 # an isolated port pair next to a triangle with a pendant tail and a square
 PORT_PAIR_GRAPH = Graph([("q1", "q2"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "p1"),
@@ -363,3 +365,101 @@ def test_no_start_state_no_route(no_state_graph):
     assert kekule_cell(no_state_graph).masks == frozenset()
     probe = _Membership(no_state_graph)
     assert not any(probe(mask) for mask in range(1 << len(no_state_graph.ports)))
+
+
+# -- the omniconjugation scans: the min-degree cut and the counting route ----------
+
+def free_mask_matchable(g, free):
+    """Whether the internal nodes in ``free`` have a perfect matching, by
+    networkx's blossom search on the induced subgraph."""
+    nodes = [v for i, v in enumerate(g.internal) if free >> i & 1]
+    sub = nx.Graph()
+    sub.add_nodes_from(nodes)
+    sub.add_edges_from((u, v) for u, v in g.edges if u in sub and v in sub)
+    return 2 * len(nx.max_weight_matching(sub, maxcardinality=True)) == len(nodes)
+
+
+def assert_matchable_agrees(g):
+    """``_matchable`` on every even set of free internal nodes."""
+    probe = _Membership(g)
+    for free in range(1 << len(g.internal)):
+        if free.bit_count() % 2 == 0:
+            assert probe._matchable(free) == free_mask_matchable(g, free), (g.edges, free)
+
+
+def complete(labels):
+    return [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+
+
+def test_min_degree_cut_on_named_cores():
+    triangles = complete(["a", "b", "c"]) + complete(["x", "y", "z"])
+    k24 = [(u, v) for u in ("l1", "l2") for v in ("r1", "r2", "r3", "r4")]
+    k33 = [(u, v) for u in ("l1", "l2", "l3") for v in ("r1", "r2", "r3")]
+    square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+    # s = 6 and minimum degree 2 in the first three: the cut must not fire, and
+    # only the bridged triangles have a perfect matching
+    for edges, want in ((triangles, False), (k24, False), (triangles + [("a", "x")], True),
+                        (k33, True), (square, True), (complete("abcd"), True),
+                        (complete("abcdef"), True)):
+        g = Graph(edges)
+        assert g.ports == ()
+        assert _Membership(g)._matchable((1 << len(g.internal)) - 1) is want, edges
+        assert_matchable_agrees(g)
+
+
+def test_min_degree_cut_on_random_dense_cores():
+    rng = random.Random(29)
+    for _ in range(60):
+        n, density = rng.randint(4, 9), rng.choice((0.5, 0.7, 0.9))
+        edges = [e for e in complete([f"v{i}" for i in range(n)]) if rng.random() < density]
+        if edges:
+            assert_matchable_agrees(Graph(edges))
+
+
+def test_probe_matches_brute_force_on_dense_graphs():
+    rng = random.Random(30)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(4, 6)
+        core = [e for e in complete([f"v{i}" for i in range(n)]) if rng.random() < 0.8]
+        ports = [(f"p{i}", f"v{rng.randrange(n)}") for i in range(rng.randint(2, 4))]
+        edges = rng.sample(core, min(len(core), 12 - len(ports))) + ports
+        g = Graph(edges)
+        probe = _Membership(g)
+        got = {frozenset(Assignment(g.ports, mask).labels())
+               for mask in range(1 << len(g.ports)) if probe(mask)}
+        assert got == oracle.cell_of(edges), edges
+        checked += 1
+
+
+def parity_scan_count(g):
+    """The realized assignments counted by one probe per parity-correct mask."""
+    probe = _Membership(g)
+    return sum(1 for mask in ordered_masks(len(g.ports), signature(g)) if probe(mask))
+
+
+def assert_counts_agree(g):
+    """``realized_assignment_count`` against the parity scan and the cell;
+    True when it took the warm-started cell route."""
+    count = realized_assignment_count(g)
+    assert count == parity_scan_count(g) == len(kekule_cell(g, allow_large=True)), g.edges
+    return _warm_route_exact(_Membership(g))
+
+
+def test_counts_agree_on_the_atlas():
+    routes = [assert_counts_agree(g) for g in atlas_graphs() if len(g.ports) >= 2]
+    assert routes.count(True) >= 40 and routes.count(False) >= 100
+
+
+@pytest.mark.parametrize("m, n, ports, seed", [
+    (2, 2, 4, 1), (2, 4, 8, 2), (3, 3, 8, 3), (3, 4, 8, 4), (4, 3, 8, 5), (3, 3, 10, 6),
+])
+def test_counts_agree_on_hex_patches(m, n, ports, seed):
+    assert assert_counts_agree(hex_patch(m, n, ports, random.Random(seed)))
+
+
+@pytest.mark.parametrize("g", [make_A(n) for n in range(2, 9)]
+                         + [make_delta(n) for n in range(2, 10)])
+def test_counts_agree_on_families(g):
+    assert_counts_agree(g)
+    assert realized_assignment_count(g) == 1 << (len(g.ports) - 1)

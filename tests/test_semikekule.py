@@ -112,7 +112,7 @@ def test_span_route_matches_backtracking():
             assert via_span == direct
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10 ** 6), st.integers(0, 2 ** 20))
 def test_parity_identity_random(seed, wbits):
     """#violations + #(W|P) has the parity of the internal node count."""

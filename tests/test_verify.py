@@ -79,3 +79,16 @@ def test_smallest_bounds_run_every_claim():
 def test_unknown_claim_id_is_an_error():
     with pytest.raises(KekulecError, match="unknown claim 'nope'; available: "):
         run_claims(Bounds(), ["parity-law", "nope"])
+
+
+def test_four_port_graphs_are_handed_on_to_the_ycell_claim():
+    verify_mod._HANDED_ON.clear()
+    bounds = Bounds(max_edges=8)
+    (alone,) = run_claims(bounds, ["ycell-4port-impossibility"])
+    assert verify_mod._HANDED_ON == {}
+    run_claims(bounds, ["classification-small-cells"])
+    (held,) = verify_mod._HANDED_ON.values()
+    assert held == tuple(verify_mod.connected_with_ports(4, 8))
+    (after,) = run_claims(bounds, ["ycell-4port-impossibility"])
+    assert verify_mod._HANDED_ON == {}
+    assert after.detail == alone.detail and after.stats == alone.stats
