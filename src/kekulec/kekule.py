@@ -1,15 +1,16 @@
 """Kekulé states: predicate, enumeration, cells, alternating curves and paths.
 
 A Kekulé state is an edge subset giving every internal node exactly one
-incident chosen edge.  Enumeration backtracks over internal nodes in
-ascending (degree, label) order so small branching factors fail fast; edges
-between two ports are unconstrained and multiply solutions freely.
+incident chosen edge.  :class:`_Membership` compiles a graph once into one
+node numbering and lists its states by a cover search over internal nodes
+in ascending (degree, label) order, so small branching factors fail fast;
+edges between two ports are unconstrained and multiply solutions freely.
 
 Membership of one port assignment in the Kekulé cell needs no enumeration:
 the assignment forces every port edge, and a state exists exactly when the
 port-port edges agree with it and the internal nodes it leaves uncovered
 have a perfect matching among internal-internal edges (Edmonds 1965).
-:class:`_Membership` compiles that test once per graph into bit masks.
+The same compiled form decides that test with bit masks.
 
 The cell itself needs no enumeration either: :func:`kekule_cell` starts from
 the assignment of one state and searches over channel moves, deciding each
@@ -19,7 +20,7 @@ search complete.  Each member found carries one Kekulé state, and a move
 {p, q} from it is one alternating-path search from p to q against that state
 (:class:`_WarmMoves`); toggling the path gives the next member's state.  That
 search is exact on a bipartite core, so a graph with a port-port edge or a
-non-bipartite component decides its moves by :class:`_Membership` instead.
+non-bipartite component decides its moves by the membership probe instead.
 """
 
 from __future__ import annotations
@@ -82,89 +83,101 @@ def port_assignment(g: Graph, w: EdgeSubset) -> Assignment:
     return Assignment(g.ports, mask)
 
 
-def _iter_cover_masks(g: Graph, forced_in: int = 0, forced_out: int = 0) -> Iterator[int]:
-    """Masks covering every internal node exactly once.
-
-    ``forced_in`` edges are pre-selected, ``forced_out`` excluded.  Edges
-    between two ports are never selected here; callers own those bits.
-    Depth-first with an explicit stack, so long chains cannot exhaust the
-    interpreter's recursion limit; masks come out in the order of the search.
-    """
-    degree = g.degree
-    order = sorted(g.internal, key=lambda n: (degree[n], n))
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    covered = 0
-    if forced_in:
-        for v in order:
-            cnt = (forced_in & g.incidence_mask(v)).bit_count()
-            if cnt > 1:
-                return
-            if cnt:
-                covered |= bit[v]
-    # per node: (edge bit, covered bit of the other end, 0 for a port)
-    moves = [[(1 << e, bit.get(other, 0)) for other, e in g.neighbors(v)
-              if not forced_out >> e & 1]
-             for v in order]
-    n = len(order)
-    stack = [(0, forced_in, covered)]
-    while stack:
-        i, mask, covered = stack.pop()
-        while i < n and covered >> i & 1:
-            i += 1
-        if i == n:
-            yield mask
-            continue
-        me = 1 << i
-        # reversed, so the first candidate is popped (and searched) first
-        stack.extend([(i + 1, mask | edge, covered | me | other)
-                      for edge, other in reversed(moves[i]) if not covered & other])
-
-
 class _Membership:
-    """Compiled cell-membership test for one graph.
+    """The compiled form of one graph: its states by a cover search, and
+    the cell-membership probe, over one node numbering.
 
-    ``probe(mask)`` is True iff some Kekulé state has the port assignment
-    with bit vector ``mask`` (over ``g.ports``).  Internal nodes become bit
-    positions; a probe checks the port-port edges, covers the internal
-    neighbours of the chosen ports, cuts on per-component parity (and on
+    ``_nodes`` holds the ports, then the internal nodes in ascending
+    (degree, label) order, the order the cover search branches in; node b
+    has bit b in the cover search.  The probe and :class:`_WarmMoves` shift
+    the ports away, so there internal node i is bit i, and port j is ~j.
+    :class:`_WarmMoves` reads states through the cover search's table.
+
+    Called as ``probe(mask)``, the compiled form is True iff some Kekulé
+    state has the port assignment with bit vector ``mask`` (over
+    ``g.ports``): it checks the ports, cuts on per-component parity (and on
     colour balance where a component is bipartite), then searches for a
     perfect matching of the free nodes.
+
+    Each side builds its tables on first use, so a graph whose states are
+    only listed never colours its components, and one only probed never
+    builds the cover search's table.
     """
 
-    __slots__ = ("_index", "_port_node", "_port_pairs", "_adj", "_internal",
-                 "_components")
+    __slots__ = ("_g", "_nodes", "_bit", "_moves", "_adj", "_internal", "_port_node",
+                 "_port_pairs", "_components")
 
     def __init__(self, g: Graph):
-        # internal node i is bit i, port j is ~j (:class:`_WarmMoves` reads
-        # states with the same numbering)
-        self._index = index = {v: i for i, v in enumerate(g.internal)}
-        for j, p in enumerate(g.ports):
-            index[p] = ~j
-        self._adj: list[int] = []
-        for v in g.internal:
+        self._g = g
+        # a stable sort of the label-ordered internal nodes by degree
+        self._nodes = nodes = g.ports + tuple(sorted(g.internal, key=g.degree.__getitem__))
+        self._bit = {v: 1 << b for b, v in enumerate(nodes)}
+        self._moves: list[list[tuple[int, int]]] | None = None
+        self._components: list[tuple[int, int | None]] | None = None
+
+    def _cover_table(self) -> list[list[tuple[int, int]]]:
+        """Per node of ``_nodes``: (edge bit, bit of the other end) per
+        neighbour, in label order."""
+        if self._moves is None:
+            bit, neighbors = self._bit, self._g.neighbors
+            self._moves = [[(1 << e, bit[u]) for u, e in neighbors(v)] for v in self._nodes]
+        return self._moves
+
+    def covers(self, ports: int | None = None) -> Iterator[int]:
+        """Edge masks of the Kekulé states, in the order of the search.
+
+        Without ``ports`` the search branches on the internal nodes only, and
+        never selects an edge between two ports; callers own those bits.
+        With ``ports``, only the states whose port assignment has that bit
+        vector: the other ports start covered, so they take no edge, and the
+        search first gives each port of ``ports`` its one edge.  A port-port
+        edge with one end outside ``ports``, or two ports of ``ports`` on one
+        node, leaves a port without a choice, so such an assignment yields
+        nothing.  Depth-first with an explicit stack, so long chains cannot
+        exhaust the interpreter's recursion limit.
+        """
+        moves = self._cover_table()
+        n = len(moves)
+        k = len(self._g.ports)
+        # (next node, edge mask, covered nodes)
+        stack = [(k, 0, 0) if ports is None else (0, 0, ((1 << k) - 1) & ~ports)]
+        while stack:
+            i, mask, covered = stack.pop()
+            while i < n and covered >> i & 1:
+                i += 1
+            if i == n:
+                yield mask
+                continue
+            me = 1 << i
+            # reversed, so the first candidate is popped (and searched) first
+            stack.extend([(i + 1, mask | edge, covered | me | other)
+                          for edge, other in reversed(moves[i]) if not covered & other])
+
+    def _probe_tables(self) -> list[tuple[int, int | None]]:
+        """Builds the tables the probe and :class:`_WarmMoves` read, once,
+        and returns the components of the internal nodes: (node mask,
+        colour-1 mask or None when not bipartite) per component."""
+        if self._components is not None:
+            return self._components
+        g, bit = self._g, self._bit
+        k = len(g.ports)
+        # per internal node: its internal neighbours, internal node i as bit i
+        self._adj = adj = []
+        for v in self._nodes[k:]:
             nbrs = 0
             for u, _ in g.neighbors(v):
-                i = index[u]
-                if i >= 0:
-                    nbrs |= 1 << i
-            self._adj.append(nbrs)
-        self._internal = (1 << len(g.internal)) - 1
-        # per port: bit of its internal neighbour, 0 when its neighbour is a port
-        self._port_node: list[int] = []
-        self._port_pairs: list[int] = []
+                nbrs |= bit[u]
+            adj.append(nbrs >> k)
+        self._internal = (1 << len(adj)) - 1
+        # per port: the bit of its internal neighbour, 0 when that is a port
+        self._port_node = []
+        self._port_pairs = []
         for j, p in enumerate(g.ports):
             (nb, _), = g.neighbors(p)
-            i = index[nb]
-            if i >= 0:
-                self._port_node.append(1 << i)
-            else:
-                self._port_node.append(0)
-                if nb > p:
-                    self._port_pairs.append(1 << j | 1 << ~i)
-        self._components = self._colour_components()
-
-    def _colour_components(self) -> list[tuple[int, int | None]]:
-        """(node mask, colour-1 mask or None when not bipartite) per component."""
+            other = bit[nb]
+            self._port_node.append(other >> k)
+            if 1 << j < other < 1 << k:
+                self._port_pairs.append(1 << j | other)
         out = []
         left = self._internal
         while left:
@@ -174,7 +187,7 @@ class _Membership:
             while stack:
                 node = stack.pop()
                 odd = bool(colour & node)
-                nbrs = self._adj[node.bit_length() - 1]
+                nbrs = adj[node.bit_length() - 1]
                 while nbrs:
                     low = nbrs & -nbrs
                     nbrs ^= low
@@ -187,9 +200,13 @@ class _Membership:
                         bipartite = False
             out.append((comp, colour if bipartite else None))
             left &= ~comp
+        self._components = out
         return out
 
     def __call__(self, mask: int) -> bool:
+        components = self._components
+        if components is None:
+            components = self._probe_tables()
         for pair in self._port_pairs:
             both = mask & pair
             if both and both != pair:
@@ -204,7 +221,7 @@ class _Membership:
                 return False
             covered |= node
         free = self._internal & ~covered
-        for comp, colour in self._components:
+        for comp, colour in components:
             part = free & comp
             if colour is None:
                 if part.bit_count() & 1:
@@ -295,26 +312,28 @@ class _WarmMoves:
 
     __slots__ = ("_adj", "_port_node", "_side", "_queue", "_parent", "_mate")
 
-    def __init__(self, g: Graph, probe: _Membership, member: int, state: int):
+    def __init__(self, probe: _Membership, member: int, state: int):
+        components = probe._probe_tables()
         self._adj = probe._adj
         port_node = probe._port_node
         self._port_node = [node.bit_length() - 1 for node in port_node]
         # per port: its neighbour's component index and colour, as 2 * index + colour
         self._side = side = [0] * len(port_node)
-        for c, (comp, colour) in enumerate(probe._components):
+        for c, (comp, colour) in enumerate(components):
             for i, node in enumerate(port_node):
                 if node & comp:
                     side[i] = 2 * c + bool(node & colour)
-        index = probe._index
-        # port p's slot ~p lies past the internal nodes and is cut off below
-        mate = [0] * len(index)
-        while state:
-            low = state & -state
-            state ^= low
-            u, v = g.edges[low.bit_length() - 1]
-            mate[index[u]] = index[v]
-            mate[index[v]] = index[u]
-        self._queue = deque([(member, mate[:len(self._adj)])])
+        # per internal node, its partner in ``state``: the other end of its
+        # one chosen edge, from cover-search bit b to node b - k or port ~b
+        k = len(port_node)
+        mate = []
+        for choices in probe._cover_table()[k:]:
+            for edge, other in choices:
+                if state & edge:
+                    b = other.bit_length() - 1
+                    mate.append(b - k if b >= k else ~b)
+                    break
+        self._queue = deque([(member, mate)])
         self._parent = None
 
     def __call__(self, parent: int, mask: int) -> bool:
@@ -398,57 +417,22 @@ def _warm_route_exact(probe: _Membership) -> bool:
     """Whether :class:`_WarmMoves` decides every move of the probe's graph
     exactly: the graph has no port-port edge and every internal component
     is bipartite."""
-    return not probe._port_pairs and all(colour is not None for _, colour in probe._components)
-
-
-def _move_test(g: Graph, probe: _Membership, member: int, state: int):
-    """The ``accept`` of :func:`kekule_cell`'s closure: warm-started moves
-    where they are exact, the membership probe elsewhere."""
-    if _warm_route_exact(probe):
-        return _WarmMoves(g, probe, member, state)
-    return lambda _, mask: probe(mask)
-
-
-def _port_port_bits(g: Graph) -> list[int]:
-    port_set = set(g.ports)
-    return [i for i, (u, v) in enumerate(g.edges)
-            if u in port_set and v in port_set]
+    components = probe._probe_tables()
+    return not probe._port_pairs and all(colour is not None for _, colour in components)
 
 
 def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSubset]:
     """All Kekulé states, ordered by edge bit vector."""
     _check_scale(g, allow_large)
-    free = _port_port_bits(g)
+    compiled = _Membership(g)
+    k = len(g.ports)
+    # each port-port edge once: port j's edge to a port after it
+    free = [edge for j, ((edge, other),) in enumerate(compiled._cover_table()[:k])
+            if 1 << j < other < 1 << k]
     _check_port_pairs(len(free), allow_large)
-    extras = list(gf2.span([1 << bit for bit in free]))
-    masks = sorted(base | extra for base in _iter_cover_masks(g) for extra in extras)
+    extras = list(gf2.span(free))
+    masks = sorted(base | extra for base in compiled.covers() for extra in extras)
     return [EdgeSubset(g, m) for m in masks]
-
-
-def _forced_port_edges(g: Graph, a: Assignment) -> tuple[int, int] | None:
-    """(forced_in, forced_out) for the port edges under assignment ``a``.
-
-    None when a port-port edge gets contradictory demands, i.e. no state
-    can realize the assignment.
-    """
-    port_set = set(g.ports)
-    want = set(a.labels())
-    forced_in = forced_out = 0
-    for i, (u, v) in enumerate(g.edges):
-        u_port, v_port = u in port_set, v in port_set
-        if u_port and v_port:
-            if (u in want) != (v in want):
-                return None
-            forced = u in want
-        elif u_port or v_port:
-            forced = (u if u_port else v) in want
-        else:
-            continue
-        if forced:
-            forced_in |= 1 << i
-        else:
-            forced_out |= 1 << i
-    return forced_in, forced_out
 
 
 def _require_graph_assignment(g: Graph, a: Assignment) -> None:
@@ -459,15 +443,12 @@ def _require_graph_assignment(g: Graph, a: Assignment) -> None:
 def kekule_states_for(g: Graph, a: Assignment, allow_large: bool = False) -> list[EdgeSubset]:
     """Kekulé states whose port assignment equals ``a``.
 
-    Port edges are pre-forced by the assignment before backtracking, so the
-    cost stays proportional to the constrained search, not the full state set.
+    Port edges are fixed by the assignment before the search, so the cost
+    stays proportional to the constrained search, not the full state set.
     """
     _require_graph_assignment(g, a)
     _check_scale(g, allow_large)
-    forced = _forced_port_edges(g, a)
-    if forced is None:
-        return []
-    masks = sorted(_iter_cover_masks(g, *forced))
+    masks = sorted(_Membership(g).covers(a.mask))
     return [EdgeSubset(g, m) for m in masks]
 
 
@@ -494,17 +475,23 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     new assignment is probed by :class:`_Membership`.
     """
     _check_scale(g, allow_large)
-    start = next(_iter_cover_masks(g), None)
+    return _cell(g, _Membership(g), allow_large)
+
+
+def _cell(g: Graph, probe: _Membership, allow_large: bool) -> Cell:
+    """:func:`kekule_cell` past its scale guard, on the compiled form ``probe``."""
+    start = next(probe.covers(), None)
     if start is None:
         return Cell(g.ports, frozenset())
     ports = g.ports
     member = port_assignment(g, EdgeSubset(g, start)).mask
     if len(ports) < 2:
         return Cell(ports, frozenset((member,)))
-    probe = _Membership(g)
+    warm = _warm_route_exact(probe)
     _check_port_pairs(len(probe._port_pairs), allow_large)
     moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
-    return Cell(ports, closure(member, moves, _move_test(g, probe, member, start)))
+    accept = _WarmMoves(probe, member, start) if warm else lambda _, mask: probe(mask)
+    return Cell(ports, closure(member, moves, accept))
 
 
 # -- alternating curves -------------------------------------------------------
@@ -584,10 +571,7 @@ def alternating_path(g: Graph, w: EdgeSubset, p: str, q: str) -> EdgeSubset | No
     if not is_kekule_state(g, w):
         raise KekulecError("alternating_path requires a Kekulé state")
     target = port_assignment(g, w) ^ channel(g.ports, p, q)
-    forced = _forced_port_edges(g, target)
-    if forced is None:
-        return None
-    mask = next(_iter_cover_masks(g, *forced), None)
+    mask = next(_Membership(g).covers(target.mask), None)
     if mask is None:
         return None
     diff = w ^ EdgeSubset(g, mask)

@@ -18,7 +18,7 @@ from itertools import combinations
 from .cells import Assignment, ordered_masks
 from .errors import KekulecError
 from .graph import Graph, signature
-from .kekule import _Membership, _warm_route_exact, kekule_cell
+from .kekule import _cell, _Membership, _warm_route_exact
 from .transform import add_internal_edge
 
 _PORT_CAP = 20
@@ -62,7 +62,7 @@ def realized_assignment_count(g: Graph) -> int:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
     probe = _Membership(g)
     if _warm_route_exact(probe):
-        return len(kekule_cell(g, allow_large=True))
+        return len(_cell(g, probe, allow_large=True))
     return sum(1 for mask in ordered_masks(len(g.ports), signature(g)) if probe(mask))
 
 

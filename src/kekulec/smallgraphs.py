@@ -63,9 +63,9 @@ def connected_with_ports(port_count: int, max_edges: int) -> list[Graph]:
     if core_edges > 6:
         raise KekulecError("core bound exceeds the 7-node atlas")
     out: list[Graph] = []
-    if port_count == 2:
+    if port_count == 2 and max_edges >= 1:
         out.append(Graph([("q1", "q2")]))  # the empty-core case
-    if port_count >= 2:
+    if 2 <= port_count <= max_edges:
         out.append(Graph((f"q{i}", "z") for i in range(1, port_count + 1)))
     for core in atlas_graphs(max_edges=core_edges, connected=True):
         leafy = [n for n in core.nodes if core.degree[n] == 1]

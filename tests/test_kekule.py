@@ -190,6 +190,18 @@ def test_alternating_path_ethene(ethene3):
     assert alternating_path(ethene3, w, "p0", "p2") is None
 
 
+def test_alternating_path_follows_the_search_order():
+    # toggling {v4, v5} asks for the states without port edges: {v0-v3, v1-v2},
+    # giving the path v4-v0-v3-v5, and {v0-v2, v1-v3}, giving v4-v0-v2-v1-v3-v5.
+    # The cover search branches first on v1 (least degree, then label) and
+    # tries its neighbour v2 first, so it meets the short one first.
+    g = Graph([("v0", "v2"), ("v0", "v3"), ("v0", "v4"), ("v1", "v2"), ("v1", "v3"),
+               ("v3", "v5")])
+    w = g.subset([("v0", "v4"), ("v1", "v2"), ("v3", "v5")])
+    path = alternating_path(g, w, "v4", "v5")
+    assert path == g.subset([("v0", "v3"), ("v0", "v4"), ("v3", "v5")])
+
+
 def test_alternating_path_requires_ports(ethene3):
     w = ethene3.subset([("u", "v")])
     with pytest.raises(KekulecError, match="not a port"):
@@ -208,6 +220,20 @@ def test_alternating_path_matches_brute(ethene3, house5):
                         assert is_alternating(g, got, w)
                         comps = curve_components(g, got)
                         assert len(comps) == 1 and comps[0].kind == "path"
+
+
+def test_states_per_assignment_match_brute_force():
+    checked = 0
+    for g in atlas_graphs(max_edges=8):
+        want = {}
+        for w in oracle.kekule_states(g.edges):
+            want.setdefault(oracle.assignment_of(g.edges, w), set()).add(w)
+        for mask in range(1 << len(g.ports)):
+            a = Assignment(g.ports, mask)
+            got = {frozenset(w.edges()) for w in kekule_states_for(g, a)}
+            assert got == want.get(frozenset(a.labels()), set()), (g.edges, a)
+            checked += 1
+    assert checked == 1526
 
 
 def test_parity_invariant_of_states():

@@ -19,8 +19,7 @@ from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      realized_assignment_count, signature)
 from kekulec.cells import closure, ordered_masks
 from kekulec.graph import EdgeSubset
-from kekulec.kekule import (_Membership, _WarmMoves, _iter_cover_masks, _move_test,
-                            _warm_route_exact, is_kekule_state)
+from kekulec.kekule import _Membership, _WarmMoves, _warm_route_exact, is_kekule_state
 from kekulec.smallgraphs import atlas_graphs, random_connected_graph
 
 import oracle
@@ -73,7 +72,9 @@ def test_probe_agrees_on_hex_patches(m, n, ports, seed):
 
 
 def test_probe_agrees_with_port_port_edges():
-    assert len(_Membership(PORT_PAIR_GRAPH)._port_pairs) == 1
+    probe = _Membership(PORT_PAIR_GRAPH)
+    probe._probe_tables()
+    assert len(probe._port_pairs) == 1
     assert_probe_agrees(PORT_PAIR_GRAPH)
 
 
@@ -116,6 +117,23 @@ def test_cell_agrees_on_hex_patches(m, n, ports, seed):
 
 def test_cell_agrees_with_port_port_edges():
     assert_cell_agrees(PORT_PAIR_GRAPH)
+
+
+@pytest.mark.parametrize("g", [hex_patch(3, 3, 8, random.Random(4)), make_delta(5), make_A(4),
+                               PORT_PAIR_GRAPH], ids=["hex3x3", "delta5", "a4", "port-pair"])
+def test_one_compile_per_cell_and_count(g, monkeypatch):
+    compiled = []
+    init = _Membership.__init__
+
+    def counted(self, graph):
+        compiled.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(_Membership, "__init__", counted)
+    for count in (kekule_cell, realized_assignment_count):
+        compiled.clear()
+        count(g)
+        assert compiled == [g], count.__name__
 
 
 def test_cell_refuses_too_many_port_pairs():
@@ -176,7 +194,7 @@ def channel_moves(k):
 
 def start_of(g):
     """The start state of ``kekule_cell`` and its port assignment."""
-    state = next(_iter_cover_masks(g))
+    state = next(_Membership(g).covers())
     return state, port_assignment(g, EdgeSubset(g, state)).mask
 
 
@@ -187,19 +205,25 @@ def probe_cell(g):
     return closure(member, channel_moves(len(g.ports)), lambda _, mask: probe(mask))
 
 
+def internal_order(g):
+    """The internal nodes in the compiled form's numbering."""
+    return _Membership(g)._nodes[len(g.ports):]
+
+
 def mate_state(g, mate):
     """The edge subset of a mate array: per internal node, its partner's
-    index in ``g.internal`` or ``~i`` for port ``g.ports[i]``."""
-    assert len(mate) == len(g.internal)
-    labels = [g.internal[m] if m >= 0 else g.ports[~m] for m in mate]
-    return g.subset(zip(g.internal, labels))
+    number in the compiled form, or ``~i`` for port ``g.ports[i]``."""
+    internal = internal_order(g)
+    assert len(mate) == len(internal)
+    labels = [internal[m] if m >= 0 else g.ports[~m] for m in mate]
+    return g.subset(zip(internal, labels))
 
 
 def warm_cell(g):
     """The cell by warm-started moves; each carried state must be a Kekulé
     state realizing its member, and only unexpanded members keep one."""
     state, member = start_of(g)
-    warm = _WarmMoves(g, _Membership(g), member, state)
+    warm = _WarmMoves(_Membership(g), member, state)
     assert is_kekule_state(g, EdgeSubset(g, state))
     order = {member: 0}  # acceptance order
 
@@ -225,7 +249,7 @@ def assert_moves_exact(g):
     moves = channel_moves(len(g.ports))
     for w in enumerate_kekule_states(g):
         member = port_assignment(g, w).mask
-        warm = _WarmMoves(g, probe, member, w.mask)
+        warm = _WarmMoves(probe, member, w.mask)
         for move in moves:
             target = member ^ move
             assert warm(member, target) == probe(target), (g.edges, w.mask, target)
@@ -235,8 +259,7 @@ def assert_moves_exact(g):
 
 
 def takes_warm_route(g):
-    state, member = start_of(g)
-    return isinstance(_move_test(g, _Membership(g), member, state), _WarmMoves)
+    return _warm_route_exact(_Membership(g))
 
 
 def assert_routes_agree(g, enumerable=True):
@@ -254,7 +277,7 @@ def assert_routes_agree(g, enumerable=True):
 def test_routes_agree_on_the_atlas():
     warm = 0
     for g in atlas_graphs():
-        if next(_iter_cover_masks(g), None) is None:
+        if next(_Membership(g).covers(), None) is None:
             assert kekule_cell(g).masks == frozenset()
             continue
         assert_routes_agree(g)
@@ -322,7 +345,7 @@ def test_random_bipartite_cores_with_crowded_ports():
             continue
         edges |= {(f"p{i:02d}", rng.choice(nodes)) for i in range(rng.randint(2, 7))}
         g = Graph(sorted(edges))
-        if next(_iter_cover_masks(g), None) is None:
+        if next(_Membership(g).covers(), None) is None:
             continue
         assert_routes_agree(g)
         if takes_warm_route(g):
@@ -361,7 +384,7 @@ def test_mixed_components():
 
 
 def test_no_start_state_no_route(no_state_graph):
-    assert next(_iter_cover_masks(no_state_graph), None) is None
+    assert next(_Membership(no_state_graph).covers(), None) is None
     assert kekule_cell(no_state_graph).masks == frozenset()
     probe = _Membership(no_state_graph)
     assert not any(probe(mask) for mask in range(1 << len(no_state_graph.ports)))
@@ -372,7 +395,7 @@ def test_no_start_state_no_route(no_state_graph):
 def free_mask_matchable(g, free):
     """Whether the internal nodes in ``free`` have a perfect matching, by
     networkx's blossom search on the induced subgraph."""
-    nodes = [v for i, v in enumerate(g.internal) if free >> i & 1]
+    nodes = [v for i, v in enumerate(internal_order(g)) if free >> i & 1]
     sub = nx.Graph()
     sub.add_nodes_from(nodes)
     sub.add_edges_from((u, v) for u, v in g.edges if u in sub and v in sub)
@@ -382,6 +405,7 @@ def free_mask_matchable(g, free):
 def assert_matchable_agrees(g):
     """``_matchable`` on every even set of free internal nodes."""
     probe = _Membership(g)
+    probe._probe_tables()
     for free in range(1 << len(g.internal)):
         if free.bit_count() % 2 == 0:
             assert probe._matchable(free) == free_mask_matchable(g, free), (g.edges, free)
@@ -403,7 +427,9 @@ def test_min_degree_cut_on_named_cores():
                         (complete("abcdef"), True)):
         g = Graph(edges)
         assert g.ports == ()
-        assert _Membership(g)._matchable((1 << len(g.internal)) - 1) is want, edges
+        probe = _Membership(g)
+        probe._probe_tables()
+        assert probe._matchable((1 << len(g.internal)) - 1) is want, edges
         assert_matchable_agrees(g)
 
 

@@ -19,6 +19,31 @@ def test_every_registered_claim_ran(results):
     assert set(results) == {name for name, _ in verify_mod.CLAIMS}
 
 
+# the `kekulec verify` report at default bounds, claim by claim
+DEFAULT_DETAILS = {
+    "state-difference-curves": "373 graphs, 2746 state pairs",
+    "openness-path-equivalence": "474 graphs, 1124 channel checks",
+    "cell-translation": "100 random (graph, assignment) instances",
+    "channel-decomposition-law": "464 nonempty cells, 502 member pairs decomposed",
+    "merge-split-invariance": "986 merges, 4657 splits preserved",
+    "parity-law": "474 graphs, 4176 brute-force states, 707 solves",
+    "kernel-span": "200 random graphs, 426 assignments spanned",
+    "curve-count": "199 graphs, 434 states checked",
+    "omni-paths": "75 state/port-pair paths found",
+    "flex-round-trip": "372 graphs round-tripped through flex",
+    "classification-small-cells": "362 cells classified sound, 441 diameter-4 cells in orbit",
+    "pendant-core-completeness": "33 pendant-form graphs",
+    "omni-operations": "72 operations checked",
+    "omni-families": "A_2..A_8, Delta_2..Delta_5, B; ethene witness {p0,p2}",
+    "ycell-4port-impossibility": ("1161 connected four-port graphs, 571 size-4 cells, "
+                                  "4 product cells tested"),
+}
+
+
+def test_default_bound_details(results):
+    assert {claim: r.detail for claim, r in results.items()} == DEFAULT_DETAILS
+
+
 def test_transform_claims_cover_enough_instances(results):
     assert results["merge-split-invariance"].stats["merges"] >= 100
     assert results["merge-split-invariance"].stats["splits"] >= 100
