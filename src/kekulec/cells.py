@@ -106,13 +106,15 @@ class Cell:
         return [str(k) for k in self.members()]
 
 
-def ordered_masks(n: int, parity: int | None = None) -> Iterator[int]:
+def ordered_masks(n: int, parity: int | None = None,
+                  values: Sequence[int] | None = None) -> Iterator[int]:
     """Masks over ``n`` ports in member order, lazily; only the masks of
-    one cardinality parity when ``parity`` is given."""
-    bits = [1 << i for i in range(n)]
+    one cardinality parity when ``parity`` is given.  With ``values``, one
+    per port, each mask comes as the sum of its ports' values instead."""
+    if values is None:
+        values = [1 << i for i in range(n)]
     for k in range(parity or 0, n + 1, 1 if parity is None else 2):
-        for combo in combinations(bits, k):
-            yield sum(combo)
+        yield from map(sum, combinations(values, k))
 
 
 def closure(start: int, moves: Sequence[int],

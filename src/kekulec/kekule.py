@@ -10,7 +10,11 @@ Membership of one port assignment in the Kekulé cell needs no enumeration:
 the assignment forces every port edge, and a state exists exactly when the
 port-port edges agree with it and the internal nodes it leaves uncovered
 have a perfect matching among internal-internal edges (Edmonds 1965).
-The same compiled form decides that test with bit masks.
+The same compiled form decides that test with bit masks, for one assignment
+(``probe(mask)``) or for a whole parity class in member order
+(:meth:`_Membership.scan`), which shares the covering of port nodes across
+assignments.  Both end in one post-cover test, whose O(1) degree cut
+settles dense cores without a matching search.
 
 The cell itself needs no enumeration either: :func:`kekule_cell` starts from
 the assignment of one state and searches over channel moves, deciding each
@@ -29,7 +33,7 @@ from collections import deque
 from typing import Iterator
 
 from . import gf2
-from .cells import Assignment, Cell, channel, closure
+from .cells import Assignment, Cell, channel, closure, ordered_masks
 from .errors import KekulecError
 from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve
 
@@ -97,7 +101,8 @@ class _Membership:
     state has the port assignment with bit vector ``mask`` (over
     ``g.ports``): it checks the ports, cuts on per-component parity (and on
     colour balance where a component is bipartite), then searches for a
-    perfect matching of the free nodes.
+    perfect matching of the free nodes.  ``scan(parity)`` gives the same
+    verdict for every mask of one parity in member order.
 
     Each side builds its tables on first use, so a graph whose states are
     only listed never colours its components, and one only probed never
@@ -105,7 +110,7 @@ class _Membership:
     """
 
     __slots__ = ("_g", "_nodes", "_bit", "_moves", "_adj", "_internal", "_port_node",
-                 "_port_pairs", "_components")
+                 "_port_pairs", "_degree_cut", "_components")
 
     def __init__(self, g: Graph):
         self._g = g
@@ -169,6 +174,8 @@ class _Membership:
                 nbrs |= bit[u]
             adj.append(nbrs >> k)
         self._internal = (1 << len(adj)) - 1
+        # 2 (minimum internal degree - n), for the degree cut of _completes
+        self._degree_cut = 2 * (min(map(int.bit_count, adj), default=0) - len(adj))
         # per port: the bit of its internal neighbour, 0 when that is a port
         self._port_node = []
         self._port_pairs = []
@@ -204,31 +211,67 @@ class _Membership:
         return out
 
     def __call__(self, mask: int) -> bool:
-        components = self._components
-        if components is None:
-            components = self._probe_tables()
-        for pair in self._port_pairs:
-            both = mask & pair
-            if both and both != pair:
-                return False
+        if self._components is None:
+            self._probe_tables()
         port_node = self._port_node
         covered = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
             node = port_node[low.bit_length() - 1]
             if covered & node:
                 return False
             covered |= node
+        return self._completes(mask, covered)
+
+    def scan(self, parity: int) -> Iterator[tuple[int, bool]]:
+        """``(mask, self(mask))`` for every mask over the ports whose
+        cardinality has the given parity, in member order.
+
+        Port j enters as ``port_node << k | 1 << j`` for k ports, so one sum
+        over the ports of a mask (:func:`~kekulec.cells.ordered_masks`) holds
+        the mask in its low k bits and the nodes its port edges cover above.
+        Two ports on one node carry there, and so cover fewer nodes than
+        there are ports on internal nodes.
+        """
+        self._probe_tables()
+        port_node, completes = self._port_node, self._completes
+        k = len(port_node)
+        low = (1 << k) - 1
+        attached = sum(1 << j for j, node in enumerate(port_node) if node)
+        values = [node << k | 1 << j for j, node in enumerate(port_node)]
+        for packed in ordered_masks(k, parity, values):
+            mask = packed & low
+            covered = packed >> k
+            yield mask, (covered.bit_count() == (mask & attached).bit_count()
+                         and completes(mask, covered))
+
+    def _completes(self, mask: int, covered: int) -> bool:
+        """Whether a Kekulé state has the port assignment ``mask``, whose
+        port edges cover the internal nodes ``covered``, each once.
+
+        The port-port edges must agree with ``mask``, and the free internal
+        nodes need a perfect matching.  Each component must keep an even
+        number of them, as many of each colour where it is bipartite.  Then
+        each free node has at least delta - (n - |free|) free neighbours, for
+        minimum internal degree delta over the n internal nodes; when that
+        is at least |free| / 2, Dirac's condition of :meth:`_matchable`
+        holds without a scan.
+        """
+        for pair in self._port_pairs:
+            both = mask & pair
+            if both and both != pair:
+                return False
         free = self._internal & ~covered
-        for comp, colour in components:
+        for comp, colour in self._components:
             part = free & comp
             if colour is None:
                 if part.bit_count() & 1:
                     return False
             elif 2 * (part & colour).bit_count() != part.bit_count():
                 return False
-        return self._matchable(free)
+        return self._degree_cut + free.bit_count() >= 0 or self._matchable(free)
 
     def _matchable(self, free: int) -> bool:
         """Whether the internal nodes in ``free`` have a perfect matching.
@@ -438,6 +481,9 @@ def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSub
 def _require_graph_assignment(g: Graph, a: Assignment) -> None:
     if a.ports != g.ports:
         raise KekulecError("assignment port set does not match the graph's ports")
+    # checked here, not in Assignment, which cell members build in bulk
+    if a.mask < 0 or a.mask >> len(g.ports):
+        raise KekulecError("assignment mask has bits outside the port set")
 
 
 def kekule_states_for(g: Graph, a: Assignment, allow_large: bool = False) -> list[EdgeSubset]:

@@ -1,13 +1,15 @@
 """Omniconjugation: graphs whose Kekulé cell fills the whole parity class,
 plus the constructive families A_n, Delta_n, and the basic model B.
 
-:func:`is_omniconjugated` scans the parity class with one compiled
-membership probe and stops at the first missing assignment.  On dense cores
-such as Delta_n a probe mostly ends after one scan of the free nodes: when
-their minimum degree is at least half their number, Dirac's theorem (1952)
-gives a Hamiltonian cycle and so a perfect matching.
+:func:`is_omniconjugated` decides the parity class in one compiled scan
+(``_Membership.scan``) and stops at the first missing assignment.  The scan
+covers each mask's port nodes with one sum of packed per-port values, and on
+dense cores such as Delta_n an O(1) degree cut then settles the free nodes:
+when the internal minimum degree leaves each free node at least half of them
+as neighbours, Dirac's theorem (1952) gives a Hamiltonian cycle and so a
+perfect matching, with no matching search.
 :func:`realized_assignment_count` counts the warm-started Kekulé cell where
-its channel moves are exact, and scans the parity class elsewhere.
+its channel moves are exact, and counts the same scan elsewhere.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cells import Assignment, ordered_masks
+from .cells import Assignment
 from .errors import KekulecError
 from .graph import Graph, signature
 from .kekule import _cell, _Membership, _warm_route_exact
@@ -35,17 +37,16 @@ class OmniVerdict:
 def is_omniconjugated(g: Graph) -> OmniVerdict:
     """True iff every parity-correct port assignment has a Kekulé state.
 
-    Tests membership assignment by assignment with one compiled matching
-    probe instead of enumerating all states; the witness is the first
-    missing assignment in member order (:func:`~kekulec.cells.ordered_masks`).
+    One compiled scan of the parity class decides every assignment without
+    enumerating states; the witness is the first missing assignment in
+    member order (:func:`~kekulec.cells.ordered_masks`).
     """
     if len(g.ports) < 2:
         raise KekulecError("omniconjugation requires at least two ports")
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
-    probe = _Membership(g)
-    for mask in ordered_masks(len(g.ports), signature(g)):
-        if not probe(mask):
+    for mask, realized in _Membership(g).scan(signature(g)):
+        if not realized:
             return OmniVerdict(False, Assignment(g.ports, mask))
     return OmniVerdict(True, None)
 
@@ -55,15 +56,15 @@ def realized_assignment_count(g: Graph) -> int:
 
     The size of the Kekulé cell where :func:`~kekulec.kekule.kekule_cell`
     decides its channel moves against carried states (no port-port edge,
-    every internal component bipartite); elsewhere one compiled matching
-    probe per parity-correct assignment.
+    every internal component bipartite); elsewhere the verdicts of one
+    compiled scan of the parity class.
     """
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
     probe = _Membership(g)
     if _warm_route_exact(probe):
         return len(_cell(g, probe, allow_large=True))
-    return sum(1 for mask in ordered_masks(len(g.ports), signature(g)) if probe(mask))
+    return sum(realized for _, realized in probe.scan(signature(g)))
 
 
 def make_A(n: int) -> Graph:

@@ -179,6 +179,16 @@ def test_ordered_masks_keeps_the_index_sum_sequence(n):
         assert list(ordered_masks(n, parity)) == list(_ordered_masks_by_index_sums(n, parity))
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_ordered_masks_sums_given_values_in_member_order(n):
+    rng = random.Random(n)
+    values = [rng.randrange(1 << 40) for _ in range(n)]
+    for parity in (None, 0, 1):
+        want = [sum(v for i, v in enumerate(values) if m >> i & 1)
+                for m in ordered_masks(n, parity)]
+        assert list(ordered_masks(n, parity, values)) == want
+
+
 def test_members_order_is_sort_key_order():
     rng = random.Random(7)
     for n in range(13):

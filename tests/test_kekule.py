@@ -2,7 +2,8 @@ import pytest
 
 from kekulec import (Assignment, Graph, KekulecError, alternating_curves,
                      alternating_path, apply_curve, curve_components,
-                     cycle_rank, enumerate_kekule_states, is_alternating,
+                     cycle_rank, enumerate_kekule_states, has_kekule_state_for,
+                     is_alternating,
                      is_kekule_state, is_perfect_matching, kekule_cell,
                      kekule_states_for, make_A, make_delta, port_assignment,
                      state_difference)
@@ -98,6 +99,20 @@ def test_states_for_delta3_unique():
     states = kekule_states_for(g, Assignment.of(g.ports, ("p1",)))
     assert [sorted(w.edges()) for w in states] == \
         [[("p1", "u1"), ("u2", "u3")]]
+
+
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_has_state_for_rejects_masks_outside_the_ports(mask):
+    g = make_A(4)
+    with pytest.raises(KekulecError, match="outside the port set"):
+        has_kekule_state_for(g, Assignment(g.ports, mask))
+
+
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_states_for_rejects_masks_outside_the_ports(mask):
+    g = make_A(4)
+    with pytest.raises(KekulecError, match="outside the port set"):
+        kekule_states_for(g, Assignment(g.ports, mask))
 
 
 def test_states_for_respects_cycle_rank_bound():

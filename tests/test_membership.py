@@ -12,6 +12,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      has_kekule_state_for, is_omniconjugated, kekule_cell,
@@ -489,3 +490,108 @@ def test_counts_agree_on_hex_patches(m, n, ports, seed):
 def test_counts_agree_on_families(g):
     assert_counts_agree(g)
     assert realized_assignment_count(g) == 1 << (len(g.ports) - 1)
+
+
+# -- the parity-class scan --------------------------------------------------------
+
+def assert_scan_agrees(g, edges=None):
+    """``scan`` yields the masks of ``ordered_masks`` with the probe's verdict,
+    for both parities; with ``edges``, also the oracle's cell."""
+    probe = _Membership(g)
+    realized = set()
+    for parity in (0, 1):
+        scanned = list(_Membership(g).scan(parity))
+        assert [m for m, _ in scanned] == list(ordered_masks(len(g.ports), parity))
+        for mask, verdict in scanned:
+            assert verdict == probe(mask), (g.edges, mask)
+            if verdict:
+                realized.add(frozenset(Assignment(g.ports, mask).labels()))
+    if edges is not None:
+        assert realized == oracle.cell_of(edges), edges
+
+
+def dense_core_with_ports(rng, port_pair):
+    """A random dense core with 2-5 ports, some sharing a node, and
+    optionally an isolated port-port edge."""
+    n = rng.randint(2, 7)
+    core = [e for e in complete([f"v{i}" for i in range(n)]) if rng.random() < 0.8]
+    nodes = sorted({v for e in core for v in e}) or ["v0"]
+    edges = core + [(f"p{i}", rng.choice(nodes[:2])) for i in range(rng.randint(2, 5))]
+    if port_pair:
+        edges.append(("q1", "q2"))
+    return edges
+
+
+def test_scan_agrees_on_the_atlas():
+    for g in atlas_graphs():
+        assert_scan_agrees(g, list(g.edges) if len(g.edges) <= 7 else None)
+
+
+def test_scan_agrees_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(150):
+        g = random_connected_graph(rng, max_edges=14)
+        assert_scan_agrees(g, list(g.edges) if len(g.edges) <= 10 else None)
+
+
+def test_scan_agrees_on_dense_cores_with_shared_and_paired_ports():
+    rng = random.Random(42)
+    shared = paired = 0
+    for i in range(200):
+        edges = dense_core_with_ports(rng, port_pair=i % 2 == 1)
+        g = Graph(edges)
+        probe = _Membership(g)
+        probe._probe_tables()
+        shared += len(set(probe._port_node)) < len(g.ports)
+        paired += bool(probe._port_pairs)
+        assert_scan_agrees(g, edges if len(edges) <= 13 else None)
+    assert shared >= 50 and paired >= 50
+
+
+@pytest.mark.parametrize("g", [PORT_PAIR_GRAPH, make_delta(9), make_A(7)]
+                         + [hex_patch(3, 3, 8, random.Random(seed)) for seed in (4, 5)],
+                         ids=["port-pair", "delta9", "a7", "hex-a", "hex-b"])
+def test_scan_agrees_on_named_graphs(g):
+    assert_scan_agrees(g)
+
+
+def brute_force_matchable(nodes, edges):
+    """Whether ``nodes`` have a perfect matching among ``edges``, by trying
+    every partner of the first node."""
+    if not nodes:
+        return True
+    first, rest = nodes[0], nodes[1:]
+    return any(brute_force_matchable([v for v in rest if v != other], edges)
+               for other in rest if (first, other) in edges or (other, first) in edges)
+
+
+@st.composite
+def dense_free_sets(draw):
+    """A dense graph, its compiled form, and an even set of free internal
+    nodes large enough for the degree cut to fire where it can."""
+    n = draw(st.integers(4, 10))
+    missing = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=n // 2))
+    edges = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+             if (i, j) not in missing and (j, i) not in missing]
+    g = Graph(edges)
+    probe = _Membership(g)
+    probe._probe_tables()
+    m = len(g.internal)
+    least = max(0, -probe._degree_cut)
+    size = draw(st.sampled_from(range(least + least % 2, m + 1, 2) or [m - m % 2]))
+    free = sum(1 << i for i in draw(st.permutations(range(m)))[:size])
+    return g, probe, free
+
+
+@given(dense_free_sets())
+@settings(max_examples=300, deadline=None)
+def test_degree_cut_only_fires_on_matchable_free_sets(case):
+    g, probe, free = case
+    balanced = all((free & comp).bit_count() % 2 == 0 if colour is None
+                   else 2 * (free & comp & colour).bit_count() == (free & comp).bit_count()
+                   for comp, colour in probe._components)
+    if balanced and probe._degree_cut + free.bit_count() >= 0:
+        nodes = [v for i, v in enumerate(internal_order(g)) if free >> i & 1]
+        assert brute_force_matchable(nodes, set(g.edges)), (g.edges, nodes)
+        assert probe._completes(0, (1 << len(g.internal)) - 1 & ~free)

@@ -13,9 +13,11 @@ def test_a_family_omniconjugated(n):
     assert is_omniconjugated(make_A(n)).omniconjugated
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_delta_family_omniconjugated(n):
-    assert is_omniconjugated(make_delta(n)).omniconjugated
+    g = make_delta(n)
+    assert is_omniconjugated(g).omniconjugated
+    assert realized_assignment_count(g) == 2 ** (n - 1)
 
 
 def test_model_b_omniconjugated():

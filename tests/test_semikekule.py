@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      enumerate_semi_kekule, hsk_basis, is_kekule_state,
                      is_semi_kekule, kekule_states_for, kekule_states_via_span,
-                     make_delta, signature, solve_semi_kekule)
+                     make_A, make_delta, signature, solve_semi_kekule)
 from kekulec.smallgraphs import atlas_graphs, random_connected_graph
 
 import oracle
@@ -32,6 +32,13 @@ def test_empty_subset_semi_on_portless_free_graph():
 def test_solve_parity_mismatch_is_none():
     g = make_delta(3)  # signature 1
     assert solve_semi_kekule(g, Assignment(g.ports, 0)) is None
+
+
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_solve_rejects_masks_outside_the_ports(mask):
+    g = make_A(4)
+    with pytest.raises(KekulecError, match="outside the port set"):
+        solve_semi_kekule(g, Assignment(g.ports, mask))
 
 
 def test_solve_finds_non_kekule_semi_state(ethene3):

@@ -118,6 +118,13 @@ def test_translate_graph_empty_is_identity(house5):
     assert translate_graph(house5, Assignment(house5.ports, 0)) == house5
 
 
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_translate_graph_rejects_masks_outside_the_ports(mask):
+    g = make_A(4)
+    with pytest.raises(KekulecError, match="outside the port set"):
+        translate_graph(g, Assignment(g.ports, mask))
+
+
 def test_translate_graph_house5(house5):
     g = translate_graph(house5, Assignment.of(house5.ports, ("n1",)))
     assert cell_of(g) == {frozenset(), frozenset({"n1", "n4"})}
