@@ -111,10 +111,14 @@ def ordered_masks(n: int, parity: int | None = None,
     """Masks over ``n`` ports in member order, lazily; only the masks of
     one cardinality parity when ``parity`` is given.  With ``values``, one
     per port, each mask comes as the sum of its ports' values instead."""
-    if values is None:
-        values = [1 << i for i in range(n)]
     for k in range(parity or 0, n + 1, 1 if parity is None else 2):
-        yield from map(sum, combinations(values, k))
+        yield from layer_masks(n, k, values)
+
+
+def layer_masks(n: int, k: int, values: Sequence[int] | None = None) -> Iterator[int]:
+    """The masks with ``k`` of ``n`` ports, the layer of :func:`ordered_masks`
+    that holds them, in member order; with ``values`` as there."""
+    return map(sum, combinations(values or [1 << i for i in range(n)], k))
 
 
 def closure(start: int, moves: Sequence[int],

@@ -14,7 +14,11 @@ The same compiled form decides that test with bit masks, for one assignment
 (``probe(mask)``) or for a whole parity class in member order
 (:meth:`_Membership.scan`), which shares the covering of port nodes across
 assignments.  Both end in one post-cover test, whose O(1) degree cut
-settles dense cores without a matching search.
+settles dense cores without a matching search.  Where the core is one
+non-bipartite component with each port on its own node, as in Delta_n, every
+assignment with j ports leaves the same number of free nodes, so that cut
+settles a whole cardinality layer at once (:meth:`_Membership.layers`) and
+its assignments are never probed one by one.
 
 The cell itself needs no enumeration either: :func:`kekule_cell` starts from
 the assignment of one state and searches over channel moves, deciding each
@@ -24,7 +28,8 @@ search complete.  Each member found carries one Kekulé state, and a move
 {p, q} from it is one alternating-path search from p to q against that state
 (:class:`_WarmMoves`); toggling the path gives the next member's state.  That
 search is exact on a bipartite core, so a graph with a port-port edge or a
-non-bipartite component decides its moves by the membership probe instead.
+non-bipartite component decides its moves by the membership probe instead,
+unless every layer of the parity class settles: then the cell is that class.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ from collections import deque
 from typing import Iterator
 
 from . import gf2
-from .cells import Assignment, Cell, channel, closure, ordered_masks
+from .cells import Assignment, Cell, channel, closure, layer_masks, parity_space
 from .errors import KekulecError
 from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve
 
 _RANK_CAP = 24
+# simulate has no --allow-large, so the refusal names it only where it exists
+_OVERRIDE = "pass allow_large=True, or --allow-large where the command has it, to override"
 
 
 def _check_scale(g: Graph, allow_large: bool) -> None:
@@ -48,16 +55,14 @@ def _check_scale(g: Graph, allow_large: bool) -> None:
     r = cycle_rank(g)
     if r > _RANK_CAP:
         raise KekulecError(
-            f"state count bound 2^{r} exceeds 2^{_RANK_CAP}; "
-            "pass allow_large=True to override")
+            f"state count bound 2^{r} exceeds 2^{_RANK_CAP}; {_OVERRIDE}")
 
 
 def _check_port_pairs(count: int, allow_large: bool) -> None:
     """Each free port-port edge doubles both the states and the cell."""
     if count > _RANK_CAP and not allow_large:
         raise KekulecError(
-            f"2^{count} free port-port edges exceed 2^{_RANK_CAP}; "
-            "pass allow_large=True to override")
+            f"2^{count} free port-port edges exceed 2^{_RANK_CAP}; {_OVERRIDE}")
 
 
 def _require_same_graph(g: Graph, w: EdgeSubset) -> None:
@@ -102,7 +107,9 @@ class _Membership:
     ``g.ports``): it checks the ports, cuts on per-component parity (and on
     colour balance where a component is bipartite), then searches for a
     perfect matching of the free nodes.  ``scan(parity)`` gives the same
-    verdict for every mask of one parity in member order.
+    verdict for every mask of one parity in member order, one
+    ``scan_layer(j)`` per port count j; ``layers(parity)`` names the layers
+    whose masks are all members without probing any of them.
 
     Each side builds its tables on first use, so a graph whose states are
     only listed never colours its components, and one only probed never
@@ -227,10 +234,16 @@ class _Membership:
 
     def scan(self, parity: int) -> Iterator[tuple[int, bool]]:
         """``(mask, self(mask))`` for every mask over the ports whose
-        cardinality has the given parity, in member order.
+        cardinality has the given parity, in member order: the layers of
+        :meth:`scan_layer`, fewest ports first."""
+        for j in range(parity, len(self._g.ports) + 1, 2):
+            yield from self.scan_layer(j)
 
-        Port j enters as ``port_node << k | 1 << j`` for k ports, so one sum
-        over the ports of a mask (:func:`~kekulec.cells.ordered_masks`) holds
+    def scan_layer(self, j: int) -> Iterator[tuple[int, bool]]:
+        """``(mask, self(mask))`` for every mask with ``j`` ports, in member order.
+
+        Port i enters as ``port_node << k | 1 << i`` for k ports, so one sum
+        over the ports of a mask (:func:`~kekulec.cells.layer_masks`) holds
         the mask in its low k bits and the nodes its port edges cover above.
         Two ports on one node carry there, and so cover fewer nodes than
         there are ports on internal nodes.
@@ -239,13 +252,34 @@ class _Membership:
         port_node, completes = self._port_node, self._completes
         k = len(port_node)
         low = (1 << k) - 1
-        attached = sum(1 << j for j, node in enumerate(port_node) if node)
-        values = [node << k | 1 << j for j, node in enumerate(port_node)]
-        for packed in ordered_masks(k, parity, values):
+        attached = sum(1 << i for i, node in enumerate(port_node) if node)
+        values = [node << k | 1 << i for i, node in enumerate(port_node)]
+        for packed in layer_masks(k, j, values):
             mask = packed & low
             covered = packed >> k
             yield mask, (covered.bit_count() == (mask & attached).bit_count()
                          and completes(mask, covered))
+
+    def layers(self, parity: int) -> Iterator[tuple[int, bool]]:
+        """``(j, settled)`` for every port count j of the given parity,
+        ascending; ``settled`` when every mask with j ports is a member,
+        decided for the whole layer without a probe.
+
+        A layer can settle when the internal nodes form one non-bipartite
+        component and every port hangs on its own internal node.  Then every
+        mask with j ports leaves the same n - j free nodes of n, so the
+        parity cut and the degree cut of :meth:`_completes` decide all of
+        them alike; with no free node left the empty matching completes.
+        """
+        components = self._probe_tables()
+        port_node = self._port_node
+        n = len(self._adj)
+        # a port-port edge gives both its ports the node 0, so it fails too
+        layered = (len(components) == 1 and components[0][1] is None
+                   and len(set(port_node)) == len(port_node))
+        for j in range(parity, len(port_node) + 1, 2):
+            yield j, (layered and not (n - j) & 1
+                      and (self._degree_cut + n - j >= 0 or j == n))
 
     def _completes(self, mask: int, covered: int) -> bool:
         """Whether a Kekulé state has the port assignment ``mask``, whose
@@ -517,7 +551,9 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
 
     On a graph whose internal components are all bipartite and that has no
     port-port edge, each member carries a Kekulé state and a move is one
-    alternating-path search against it (:class:`_WarmMoves`).  Otherwise each
+    alternating-path search against it (:class:`_WarmMoves`).  Where every
+    cardinality layer of the parity class settles
+    (:meth:`_Membership.layers`), the cell is the whole class.  Otherwise each
     new assignment is probed by :class:`_Membership`.
     """
     _check_scale(g, allow_large)
@@ -533,6 +569,9 @@ def _cell(g: Graph, probe: _Membership, allow_large: bool) -> Cell:
     member = port_assignment(g, EdgeSubset(g, start)).mask
     if len(ports) < 2:
         return Cell(ports, frozenset((member,)))
+    parity = member.bit_count() & 1
+    if all(settled for _, settled in probe.layers(parity)):
+        return parity_space(ports, parity)
     warm = _warm_route_exact(probe)
     _check_port_pairs(len(probe._port_pairs), allow_large)
     moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]

@@ -1,21 +1,26 @@
 """Omniconjugation: graphs whose Kekulé cell fills the whole parity class,
 plus the constructive families A_n, Delta_n, and the basic model B.
 
-:func:`is_omniconjugated` decides the parity class in one compiled scan
-(``_Membership.scan``) and stops at the first missing assignment.  The scan
-covers each mask's port nodes with one sum of packed per-port values, and on
-dense cores such as Delta_n an O(1) degree cut then settles the free nodes:
-when the internal minimum degree leaves each free node at least half of them
-as neighbours, Dirac's theorem (1952) gives a Hamiltonian cycle and so a
-perfect matching, with no matching search.
+:func:`is_omniconjugated` decides the parity class one cardinality layer at a
+time and stops at the first missing assignment.  Where the internal core is
+one non-bipartite component with each port on its own node, every assignment
+with j ports leaves the same free nodes, and an O(1) degree cut settles the
+layer whole (``_Membership.layers``): when the internal minimum degree leaves
+each free node at least half of them as neighbours, Dirac's theorem (1952)
+gives a Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3)
+every layer settles and no assignment is probed.  An unsettled layer is
+decided mask by mask in one compiled scan (``_Membership.scan_layer``), which
+covers each mask's port nodes with one sum of packed per-port values.
 :func:`realized_assignment_count` counts the warm-started Kekulé cell where
-its channel moves are exact, and counts the same scan elsewhere.
+its channel moves are exact; elsewhere it adds the size of each settled layer
+to the verdicts of the scanned ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .cells import Assignment
 from .errors import KekulecError
@@ -37,17 +42,21 @@ class OmniVerdict:
 def is_omniconjugated(g: Graph) -> OmniVerdict:
     """True iff every parity-correct port assignment has a Kekulé state.
 
-    One compiled scan of the parity class decides every assignment without
-    enumerating states; the witness is the first missing assignment in
-    member order (:func:`~kekulec.cells.ordered_masks`).
+    The settled layers of the parity class hold no missing assignment, and
+    one compiled scan decides the others without enumerating states; the
+    witness is the first missing assignment in member order
+    (:func:`~kekulec.cells.ordered_masks`).
     """
     if len(g.ports) < 2:
         raise KekulecError("omniconjugation requires at least two ports")
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
-    for mask, realized in _Membership(g).scan(signature(g)):
-        if not realized:
-            return OmniVerdict(False, Assignment(g.ports, mask))
+    probe = _Membership(g)
+    for j, settled in probe.layers(signature(g)):
+        if not settled:
+            for mask, realized in probe.scan_layer(j):
+                if not realized:
+                    return OmniVerdict(False, Assignment(g.ports, mask))
     return OmniVerdict(True, None)
 
 
@@ -56,15 +65,18 @@ def realized_assignment_count(g: Graph) -> int:
 
     The size of the Kekulé cell where :func:`~kekulec.kekule.kekule_cell`
     decides its channel moves against carried states (no port-port edge,
-    every internal component bipartite); elsewhere the verdicts of one
-    compiled scan of the parity class.
+    every internal component bipartite); elsewhere C(k, j) for each settled
+    layer of j of the k ports, plus the verdicts of one compiled scan of
+    the other layers of the parity class.
     """
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
     probe = _Membership(g)
     if _warm_route_exact(probe):
         return len(_cell(g, probe, allow_large=True))
-    return sum(realized for _, realized in probe.scan(signature(g)))
+    k = len(g.ports)
+    return sum(comb(k, j) if settled else sum(realized for _, realized in probe.scan_layer(j))
+               for j, settled in probe.layers(signature(g)))
 
 
 def make_A(n: int) -> Graph:

@@ -136,6 +136,16 @@ def test_missing_file_is_usage_error(capsys):
     assert "file error" in err
 
 
+def test_scale_refusal_names_the_cli_flag(graph_file, capsys):
+    path = graph_file("delta12")
+    code, out, err = run(capsys, "cell", path)
+    assert (code, out) == (1, "")
+    assert err == ("error: state count bound 2^55 exceeds 2^24; pass allow_large=True, "
+                   "or --allow-large where the command has it, to override\n")
+    code, out, _ = run(capsys, "cell", path, "--allow-large")
+    assert code == 0 and len(out.splitlines()) == 1 + 2048
+
+
 def test_parse_error_is_domain_error(graph_file, capsys):
     path = graph_file("bad", text='{"edges": [["a", "a"]]}')
     code, _, err = run(capsys, "cell", path)

@@ -266,6 +266,16 @@ def test_scale_guardrail():
         enumerate_kekule_states(Graph(edges))
 
 
+def test_scale_refusals_name_the_cli_flag():
+    port_pairs = Graph([(f"p{i:02d}", f"q{i:02d}") for i in range(25)])
+    for g, reason in ((make_delta(12), "state count bound 2^55 exceeds 2^24"),
+                      (port_pairs, "2^25 free port-port edges exceed 2^24")):
+        with pytest.raises(KekulecError) as refused:
+            kekule_cell(g)
+        assert str(refused.value) == (reason + "; pass allow_large=True, or --allow-large "
+                                      "where the command has it, to override")
+
+
 def test_long_chain_needs_no_recursion():
     g = make_A(3000)
     cell = kekule_cell(g)

@@ -9,6 +9,7 @@ assignments of the enumerated states.
 """
 
 import random
+from math import comb
 
 import networkx as nx
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      has_kekule_state_for, is_omniconjugated, kekule_cell,
-                     kekule_states_for, make_A, make_delta, port_assignment,
+                     kekule_states_for, make_A, make_delta, parity_space,
+                     pendant_core_is_complete, port_assignment,
                      realized_assignment_count, signature)
 from kekulec.cells import closure, ordered_masks
 from kekulec.graph import EdgeSubset
@@ -595,3 +597,144 @@ def test_degree_cut_only_fires_on_matchable_free_sets(case):
         nodes = [v for i, v in enumerate(internal_order(g)) if free >> i & 1]
         assert brute_force_matchable(nodes, set(g.edges)), (g.edges, nodes)
         assert probe._completes(0, (1 << len(g.internal)) - 1 & ~free)
+
+
+# -- settled layers -----------------------------------------------------------------
+
+def pendant_form(core_edges):
+    """The core with one port on each of its nodes."""
+    nodes = sorted({v for e in core_edges for v in e})
+    return Graph(list(core_edges) + [(f"p{v}", v) for v in nodes])
+
+
+def settled_layers(g, parity=None):
+    parity = signature(g) if parity is None else parity
+    return [j for j, settled in _Membership(g).layers(parity) if settled]
+
+
+def assert_layers_agree(g):
+    """The settled layers, and the verdict, witness, count and cell built on
+    them, against the per-mask scan; returns the settled port counts."""
+    k = len(g.ports)
+    probe = _Membership(g)
+    for parity in (0, 1):
+        assert [j for j, _ in probe.layers(parity)] == list(range(parity, k + 1, 2))
+        for j in settled_layers(g, parity):
+            assert all(probe(mask) for mask in range(1 << k)
+                       if mask.bit_count() == j), (g.edges, parity, j)
+    scanned = list(_Membership(g).scan(signature(g)))
+    missing = [mask for mask, realized in scanned if not realized]
+    if 2 <= k <= 20:
+        verdict = is_omniconjugated(g)
+        assert verdict.omniconjugated == (not missing), g.edges
+        assert verdict.witness == (Assignment(g.ports, missing[0]) if missing else None)
+    assert realized_assignment_count(g) == len(scanned) - len(missing), g.edges
+    realized = {mask for parity in (0, 1) for mask, ok in _Membership(g).scan(parity) if ok}
+    assert kekule_cell(g, allow_large=True).masks == realized, g.edges
+    return settled_layers(g)
+
+
+def minus(edges, *gone):
+    return [e for e in edges if e not in gone]
+
+
+def test_layers_agree_on_the_atlas():
+    settles = sum(bool(assert_layers_agree(g)) for g in atlas_graphs())
+    assert settles >= 80
+
+
+def test_layers_agree_on_random_graphs():
+    rng = random.Random(43)
+    for _ in range(150):
+        assert_layers_agree(random_connected_graph(rng, max_edges=14))
+
+
+def test_shared_or_paired_ports_never_settle():
+    rng = random.Random(44)
+    crowded = 0
+    for i in range(200):
+        g = Graph(dense_core_with_ports(rng, port_pair=i % 2 == 1))
+        probe = _Membership(g)
+        probe._probe_tables()
+        if probe._port_pairs or len(set(probe._port_node)) < len(g.ports):
+            assert not any(settled_layers(g, parity) for parity in (0, 1)), g.edges
+            crowded += 1
+        assert_layers_agree(g)
+    assert crowded >= 150
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_layers_agree_on_cores_one_or_two_edges_short(n):
+    core = complete([f"v{i}" for i in range(n)])
+    for gone in ([core[0]], [core[0], core[1]], [core[0], core[-1]]):
+        g = pendant_form(minus(core, *gone))
+        settled = assert_layers_agree(g)
+        # two free nodes may be a missing edge's ends: that layer stays open,
+        # and with no free node left the last one settles, unless the core
+        # is bipartite (K4 less two disjoint edges is a square)
+        bipartite = nx.is_bipartite(nx.Graph(minus(core, *gone)))
+        assert n - 2 not in settled and (n in settled) != bipartite
+        assert not is_omniconjugated(g).omniconjugated
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_layers_agree_on_delta(n):
+    settled = assert_layers_agree(make_delta(n))
+    # the core of delta2 is one edge, bipartite: it keeps the per-mask route
+    assert settled == ([] if n == 2 else list(range(n % 2, n + 1, 2)))
+
+
+@pytest.fixture()
+def per_mask_calls(monkeypatch):
+    """Counts of ``_Membership.__call__`` and ``_completes``, by name."""
+    calls = {"__call__": 0, "_completes": 0}
+    for name in calls:
+        real = getattr(_Membership, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(_Membership, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_delta_decided_without_a_per_mask_call(n, per_mask_calls):
+    g = make_delta(n)
+    assert is_omniconjugated(g).omniconjugated
+    assert realized_assignment_count(g) == 1 << (n - 1)
+    assert per_mask_calls == {"__call__": 0, "_completes": 0}
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_delta_cell_is_the_parity_space_without_a_probe(n, per_mask_calls):
+    g = make_delta(n)
+    assert kekule_cell(g, allow_large=True) == parity_space(g.ports, signature(g))
+    assert per_mask_calls == {"__call__": 0, "_completes": 0}
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_a_core_one_edge_short_expands_its_open_layer(n, per_mask_calls):
+    g = pendant_form(minus(complete([f"v{i:02d}" for i in range(n)]), ("v00", "v01")))
+    assert realized_assignment_count(g) == (1 << (n - 1)) - 1
+    # only the layer that can leave v00 and v01 free is scanned
+    assert per_mask_calls == {"__call__": 0, "_completes": comb(n, 2)}
+    verdict = is_omniconjugated(g)
+    assert set(verdict.witness.labels()) == {f"pv{i:02d}" for i in range(2, n)}
+    assert 0 < per_mask_calls["_completes"] <= 2 * comb(n, 2)
+
+
+def test_pendant_core_law_on_settled_layers():
+    checked = 0
+    for core in atlas_graphs():
+        g = pendant_form(core.edges)
+        complete_core = pendant_core_is_complete(g)
+        assert is_omniconjugated(g).omniconjugated == complete_core, core.edges
+        if len(core.nodes) >= 3:
+            assert (settled_layers(g) == list(range(signature(g), len(g.ports) + 1, 2))) \
+                == complete_core, core.edges
+            checked += 1
+        else:  # K2 is bipartite: its layers stay with the per-mask scan
+            assert complete_core and settled_layers(g) == []
+    assert checked == len(atlas_graphs()) - 1
