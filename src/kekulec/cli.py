@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -486,11 +487,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a reader that left early is caught here
+        return code
     except SystemExit as exc:  # argparse usage errors and unreadable files
         return int(exc.code or 0)
     except KekulecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # interpreter exit does not fail again; nothing can reach it any more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return DOMAIN_ERROR
 
 

@@ -20,21 +20,21 @@ assignment with j ports leaves the same number of free nodes, so that cut
 settles a whole cardinality layer at once (:meth:`_Membership.layers`) and
 its assignments are never probed one by one.
 
-The cell itself needs no enumeration either: :func:`kekule_cell` starts from
-the assignment of one state and searches over channel moves, deciding each
-new assignment once.  The channel-decomposition law (any two members are
-joined by disjoint channels whose partial sums are all members) makes that
-search complete.  Each member found carries one Kekulé state, and a move
-{p, q} from it is one alternating-path search from p to q against that state
-(:class:`_WarmMoves`); toggling the path gives the next member's state.  That
-search is exact on a bipartite core, so a graph with a port-port edge or a
-non-bipartite component decides its moves by the membership probe instead,
-unless every layer of the parity class settles: then the cell is that class.
+The cell itself needs no enumeration either: :meth:`_Membership.realized`
+runs a frontier (transfer-matrix) DP over the internal nodes whose values are
+sets of port masks, one int bitset each, and so gives the whole cell in one
+pass, exact on any core.  Port-port edges stay out of the DP and are folded
+in after it.  Where every layer of the parity class settles, the cell is that
+class; where the DP's sets outgrow a fixed budget, :func:`kekule_cell` falls
+back to a search over channel moves from the assignment of one state, each
+new assignment decided by the membership probe.  The channel-decomposition
+law (any two members are joined by disjoint channels whose partial sums are
+all members) makes that search complete.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from math import comb
 from typing import Iterator
 
 from . import gf2
@@ -43,6 +43,8 @@ from .errors import KekulecError
 from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve
 
 _RANK_CAP = 24
+# the frontier DP of _Membership.realized gives up past this many bits (8 MB)
+_DP_BITS = 1 << 26
 # simulate has no --allow-large, so the refusal names it only where it exists
 _OVERRIDE = "pass allow_large=True, or --allow-large where the command has it, to override"
 
@@ -98,9 +100,8 @@ class _Membership:
 
     ``_nodes`` holds the ports, then the internal nodes in ascending
     (degree, label) order, the order the cover search branches in; node b
-    has bit b in the cover search.  The probe and :class:`_WarmMoves` shift
-    the ports away, so there internal node i is bit i, and port j is ~j.
-    :class:`_WarmMoves` reads states through the cover search's table.
+    has bit b in the cover search.  The probe and the frontier DP shift the
+    ports away, so there internal node i is bit i.
 
     Called as ``probe(mask)``, the compiled form is True iff some Kekulé
     state has the port assignment with bit vector ``mask`` (over
@@ -109,7 +110,8 @@ class _Membership:
     perfect matching of the free nodes.  ``scan(parity)`` gives the same
     verdict for every mask of one parity in member order, one
     ``scan_layer(j)`` per port count j; ``layers(parity)`` names the layers
-    whose masks are all members without probing any of them.
+    whose masks are all members without probing any of them, and
+    ``realized()`` gives every realized mask at once.
 
     Each side builds its tables on first use, so a graph whose states are
     only listed never colours its components, and one only probed never
@@ -166,7 +168,7 @@ class _Membership:
                           for edge, other in reversed(moves[i]) if not covered & other])
 
     def _probe_tables(self) -> list[tuple[int, int | None]]:
-        """Builds the tables the probe and :class:`_WarmMoves` read, once,
+        """Builds the tables the probe and the frontier DP read, once,
         and returns the components of the internal nodes: (node mask,
         colour-1 mask or None when not bipartite) per component."""
         if self._components is not None:
@@ -281,6 +283,96 @@ class _Membership:
             yield j, (layered and not (n - j) & 1
                       and (self._degree_cut + n - j >= 0 or j == n))
 
+    def realized(self) -> int | None:
+        """The set of realized port masks as one int, bit m set iff some
+        Kekulé state has the assignment with bit vector m; None past the
+        budget set out below.
+
+        A frontier (transfer-matrix) DP over the internal nodes in BFS order,
+        each component from its lowest-numbered node (Klein, Hite, Seitz &
+        Schmalz 1986), with sets of masks in place of counts: OR adds, a
+        shift by 2^j adds port j to every mask.  A state maps the later
+        nodes already matched, the frontier, to the masks of the ports
+        matched so far.  A node in the frontier leaves it; any other takes
+        a later neighbour outside the frontier or one of its ports.  Ports on
+        port-port edges stay out of the DP: each such edge is taken or not
+        whatever the rest of the state does, so a shift by its two ports
+        then copies every mask.
+
+        The budget prices each state at its set (as many bits as the largest
+        mask so far, plus one), its key (one bit per internal node) and about
+        128 bytes of dictionary entry and int headers, and is checked as the
+        states of a step are made.  The DP also gives up once its steps, one
+        per state and candidate partner, pass what the probe closure of
+        :func:`kekule_cell` could cost: at most 2^(k-1) C(k, 2) probes for k
+        ports, each priced at 4n steps over n internal nodes, as its matching
+        search visits each free node a few times, plus one step per state the
+        budget holds at its overhead alone.  So a wide frontier with few ports
+        costs little more here than there, and a chain, at up to four steps
+        per node, stays on the DP.
+        """
+        self._probe_tables()
+        adj = self._adj
+        shifts: list[list[int]] = [[] for _ in adj]
+        for j, node in enumerate(self._port_node):
+            if node:
+                shifts[node.bit_length() - 1].append(1 << j)
+        if sum(map(sum, shifts)) + sum(self._port_pairs) >= _DP_BITS:
+            return None  # the final set alone would pass the budget
+        n, k = len(adj), len(self._port_node)
+        overhead = n + 1024
+        steps = _DP_BITS // overhead + 4 * n * (comb(k, 2) << k >> 1)
+        states = {0: 1}
+        done = 0
+        reach = 0  # the largest mask so far: the sets hold at most reach + 1 bits
+        left = self._internal
+        while left:
+            order = [left & -left]
+            seen = order[0]
+            for v in order:  # grows while it is walked: breadth-first
+                i = v.bit_length() - 1
+                done |= v
+                later = []
+                nbrs = adj[i] & ~done
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    later.append(low)
+                    if not seen & low:
+                        seen |= low
+                        order.append(low)
+                steps -= len(states) * (len(later) + 1)
+                if steps < 0:
+                    return None
+                ports = shifts[i]
+                reach += sum(ports)
+                cap = _DP_BITS // (reach + 1 + overhead)
+                new: dict[int, int] = {}
+                get = new.get
+                for front, masks in states.items():
+                    if front & v:
+                        front ^= v
+                        new[front] = get(front, 0) | masks
+                        continue
+                    for u in later:
+                        if not front & u:
+                            new[front | u] = get(front | u, 0) | masks
+                    if ports:
+                        wider = 0
+                        for shift in ports:
+                            wider |= masks << shift
+                        new[front] = get(front, 0) | wider
+                    if len(new) > cap:
+                        return None
+                if not new:
+                    return 0
+                states = new
+            left &= ~seen
+        masks = states[0]
+        for pair in self._port_pairs:
+            masks |= masks << pair
+        return masks
+
     def _completes(self, mask: int, covered: int) -> bool:
         """Whether a Kekulé state has the port assignment ``mask``, whose
         port edges cover the internal nodes ``covered``, each once.
@@ -366,138 +458,6 @@ class _Membership:
         return True
 
 
-class _WarmMoves:
-    """Channel moves decided against a Kekulé state carried by each member.
-
-    The ``accept`` of :func:`~kekulec.cells.closure` in :func:`kekule_cell`,
-    for a graph without port-port edges whose internal components are all
-    bipartite.  Each accepted member keeps one state as a mate array: per
-    internal node its partner, a node index or ``~p`` for port p.  A move
-    {p, q} from member ``parent`` lands in the cell iff the parent's state
-    has an alternating path from p to q (the paper's openness-path
-    equivalence); toggling that path gives the child's state.  A path
-    alternates W-edges and other edges, so on a bipartite core the kind of
-    edge that enters a node is fixed by the node's colour, and a search with
-    one visited bit per node is exact.  In front of it an O(1) cut asks that
-    the ports' neighbours share a component, with colours that differ when p
-    and q are both in or both out of ``parent`` and match otherwise.
-
-    States wait in a queue in acceptance order, which is the order
-    :func:`~kekulec.cells.closure` expands members in, and are dropped once
-    their member has been expanded.
-    """
-
-    __slots__ = ("_adj", "_port_node", "_side", "_queue", "_parent", "_mate")
-
-    def __init__(self, probe: _Membership, member: int, state: int):
-        components = probe._probe_tables()
-        self._adj = probe._adj
-        port_node = probe._port_node
-        self._port_node = [node.bit_length() - 1 for node in port_node]
-        # per port: its neighbour's component index and colour, as 2 * index + colour
-        self._side = side = [0] * len(port_node)
-        for c, (comp, colour) in enumerate(components):
-            for i, node in enumerate(port_node):
-                if node & comp:
-                    side[i] = 2 * c + bool(node & colour)
-        # per internal node, its partner in ``state``: the other end of its
-        # one chosen edge, from cover-search bit b to node b - k or port ~b
-        k = len(port_node)
-        mate = []
-        for choices in probe._cover_table()[k:]:
-            for edge, other in choices:
-                if state & edge:
-                    b = other.bit_length() - 1
-                    mate.append(b - k if b >= k else ~b)
-                    break
-        self._queue = deque([(member, mate)])
-        self._parent = None
-
-    def __call__(self, parent: int, mask: int) -> bool:
-        move = parent ^ mask
-        low = move & -move
-        p, q = low.bit_length() - 1, (move ^ low).bit_length() - 1
-        side_p, side_q = self._side[p], self._side[q]
-        if side_p >> 1 != side_q >> 1 or not (side_p ^ side_q ^ parent >> p ^ parent >> q) & 1:
-            return False
-        if parent != self._parent:
-            queue = self._queue
-            member, mate = queue.popleft()
-            while member != parent:  # expanded without a move that passed the cut
-                member, mate = queue.popleft()
-            self._parent, self._mate = parent, mate
-        p_out = not parent >> p & 1
-        found = self._search(p, q, p_out)
-        if found is None:
-            return False
-        # toggle the path: each outer node takes its successor's old partner
-        back, end, tail = found
-        mate = self._mate
-        child = mate.copy()
-        child[end] = tail
-        if tail >= 0:
-            child[tail] = end
-        while back[end] != end:
-            prev = back[end]
-            child[prev] = mate[end]
-            child[mate[end]] = prev
-            end = prev
-        if p_out:
-            child[self._port_node[p]] = ~p
-        self._queue.append((mask, child))
-        return True
-
-    def _search(self, p: int, q: int, p_out: bool) -> tuple[dict[int, int], int, int] | None:
-        """(back, end, tail) of an alternating path from port p to port q.
-
-        Depth-first over outer nodes, which the path enters by a W-edge and
-        leaves by another edge; the node after an outer one is left by its
-        W-edge, to the next outer node.  ``back`` maps each outer node to its
-        predecessor (the first to itself), ``end`` is the last outer node and
-        ``tail`` the node or ``~port`` its new partner.
-        """
-        adj, mate = self._adj, self._mate
-        a, b = self._port_node[p], self._port_node[q]
-        start = a
-        if p_out:  # the edge p-a is not a W-edge, so the path goes on by a's W-edge
-            start = mate[a]
-            if start == ~q:
-                return {a: a}, a, ~p
-            if start < 0:
-                return None
-        if start == b:  # left by the edge b-q
-            return {b: b}, b, ~q
-        back = {start: start}
-        seen = 1 << a | 1 << start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            nbrs = adj[x] & ~seen
-            seen |= nbrs
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                y = low.bit_length() - 1
-                z = mate[y]
-                if z == ~q:  # y is b, left by its W-edge to q
-                    return back, x, y
-                if z >= 0 and not seen >> z & 1:
-                    back[z] = x
-                    if z == b:  # entered by a W-edge, left by the edge b-q
-                        return back, z, ~q
-                    seen |= 1 << z
-                    stack.append(z)
-        return None
-
-
-def _warm_route_exact(probe: _Membership) -> bool:
-    """Whether :class:`_WarmMoves` decides every move of the probe's graph
-    exactly: the graph has no port-port edge and every internal component
-    is bipartite."""
-    components = probe._probe_tables()
-    return not probe._port_pairs and all(colour is not None for _, colour in components)
-
-
 def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSubset]:
     """All Kekulé states, ordered by edge bit vector."""
     _check_scale(g, allow_large)
@@ -542,19 +502,16 @@ def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
 def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     """The set of port assignments realized by some Kekulé state.
 
+    Where every cardinality layer of the parity class settles
+    (:meth:`_Membership.layers`), the cell is the whole class.  Otherwise it
+    comes from the frontier DP (:meth:`_Membership.realized`).  Past the
+    DP's budget it is
     :func:`~kekulec.cells.closure` of the assignment of one state under
-    channel moves: each new assignment one channel toggle away from a member
-    is decided once.  By the channel-decomposition law any two members are
-    joined by disjoint channels whose partial sums are all members, so the
-    search reaches the whole cell.  The cost is about |cell| x k^2 moves for
-    k ports, independent of the state count.
-
-    On a graph whose internal components are all bipartite and that has no
-    port-port edge, each member carries a Kekulé state and a move is one
-    alternating-path search against it (:class:`_WarmMoves`).  Where every
-    cardinality layer of the parity class settles
-    (:meth:`_Membership.layers`), the cell is the whole class.  Otherwise each
-    new assignment is probed by :class:`_Membership`.
+    channel moves, each new assignment one channel toggle away from a member
+    probed once by :class:`_Membership`.  By the channel-decomposition law
+    any two members are joined by disjoint channels whose partial sums are
+    all members, so that search reaches the whole cell, at about
+    |cell| x k^2 probes for k ports.
     """
     _check_scale(g, allow_large)
     return _cell(g, _Membership(g), allow_large)
@@ -572,11 +529,19 @@ def _cell(g: Graph, probe: _Membership, allow_large: bool) -> Cell:
     parity = member.bit_count() & 1
     if all(settled for _, settled in probe.layers(parity)):
         return parity_space(ports, parity)
-    warm = _warm_route_exact(probe)
     _check_port_pairs(len(probe._port_pairs), allow_large)
-    moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
-    accept = _WarmMoves(probe, member, start) if warm else lambda _, mask: probe(mask)
-    return Cell(ports, closure(member, moves, accept))
+    realized = probe.realized()
+    if realized is None:
+        moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
+        return Cell(ports, closure(member, moves, lambda _, mask: probe(mask)))
+    # bit m of the set is mask m: read the set bits off its binary digits
+    digits = bin(realized)[:1:-1]
+    masks = []
+    m = digits.find("1")
+    while m >= 0:
+        masks.append(m)
+        m = digits.find("1", m + 1)
+    return Cell(ports, frozenset(masks))
 
 
 # -- alternating curves -------------------------------------------------------

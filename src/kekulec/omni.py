@@ -11,9 +11,10 @@ gives a Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3)
 every layer settles and no assignment is probed.  An unsettled layer is
 decided mask by mask in one compiled scan (``_Membership.scan_layer``), which
 covers each mask's port nodes with one sum of packed per-port values.
-:func:`realized_assignment_count` counts the warm-started Kekulé cell where
-its channel moves are exact; elsewhere it adds the size of each settled layer
-to the verdicts of the scanned ones.
+:func:`realized_assignment_count` adds the size of each settled layer to
+the verdicts of the scanned ones where a layer settles; where none does, it
+counts the masks of the frontier DP (``_Membership.realized``) instead,
+unless that DP outgrows its budget.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import comb
 from .cells import Assignment
 from .errors import KekulecError
 from .graph import Graph, signature
-from .kekule import _cell, _Membership, _warm_route_exact
+from .kekule import _Membership
 from .transform import add_internal_edge
 
 _PORT_CAP = 20
@@ -63,20 +64,22 @@ def is_omniconjugated(g: Graph) -> OmniVerdict:
 def realized_assignment_count(g: Graph) -> int:
     """Number of port assignments with at least one Kekulé state.
 
-    The size of the Kekulé cell where :func:`~kekulec.kekule.kekule_cell`
-    decides its channel moves against carried states (no port-port edge,
-    every internal component bipartite); elsewhere C(k, j) for each settled
+    Where a layer of the parity class settles, C(k, j) for each settled
     layer of j of the k ports, plus the verdicts of one compiled scan of
-    the other layers of the parity class.
+    the other layers.  Where none settles, the number of masks the frontier
+    DP realizes; past the DP's budget, the scan of every layer.
     """
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
     probe = _Membership(g)
-    if _warm_route_exact(probe):
-        return len(_cell(g, probe, allow_large=True))
+    layers = list(probe.layers(signature(g)))
+    if not any(settled for _, settled in layers):
+        realized = probe.realized()
+        if realized is not None:
+            return realized.bit_count()
     k = len(g.ports)
     return sum(comb(k, j) if settled else sum(realized for _, realized in probe.scan_layer(j))
-               for j, settled in probe.layers(signature(g)))
+               for j, settled in layers)
 
 
 def make_A(n: int) -> Graph:

@@ -362,6 +362,23 @@ def test_simulate_interactive_eof_exits_cleanly(graph_file):
     assert proc.returncode == 0
 
 
+def test_reader_closing_the_pipe_early_ends_without_a_traceback(graph_file):
+    import subprocess
+    import sys
+    # the cell of delta14 is 8,193 lines, about 200 kB: more than a pipe
+    # holds, so the child is still writing when the reader goes
+    path = graph_file("delta14")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kekulec", "cell", "--allow-large", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("ports: {")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
 def test_channels_at_non_member_is_domain_error(graph_file, capsys):
     path = graph_file("ethene3")
     code, _, err = run(capsys, "channels", path, "--at", "p0,p2")

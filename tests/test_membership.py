@@ -1,14 +1,16 @@
-"""The compiled membership probe and the channel-move cell search against
-the state search they replace, and the warm-started moves against both.
+"""The compiled membership probe and the frontier DP against the state
+search they replace, and against the closure over probes.
 
 ``_Membership(g)(mask)`` decides cell membership by a matching search on the
 internal nodes; ``kekule_states_for`` enumerates the states of the assignment
 by backtracking.  Both must agree on every mask, of either parity.
-``kekule_cell`` walks channel moves from one state and must find exactly the
-assignments of the enumerated states.
+``kekule_cell`` takes its cell from the frontier DP (``_Membership.realized``)
+or, past the DP's budget, walks channel moves from one state; either way it
+must find exactly the assignments of the enumerated states.
 """
 
 import random
+import tracemalloc
 from math import comb
 
 import networkx as nx
@@ -21,8 +23,9 @@ from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      pendant_core_is_complete, port_assignment,
                      realized_assignment_count, signature)
 from kekulec.cells import closure, ordered_masks
+from kekulec import kekule
 from kekulec.graph import EdgeSubset
-from kekulec.kekule import _Membership, _WarmMoves, _warm_route_exact, is_kekule_state
+from kekulec.kekule import _Membership
 from kekulec.smallgraphs import atlas_graphs, random_connected_graph
 
 import oracle
@@ -189,7 +192,10 @@ def test_probe_backtracks_out_of_a_forced_cascade():
     assert_probe_agrees(g)
 
 
-# -- warm-started channel moves ---------------------------------------------------
+# -- the frontier DP, the one cell route ---------------------------------------------
+#
+# The parametrized tests keep the names they had when the warm-started channel
+# moves decided the cells of bipartite cores; the frontier DP replaced those moves.
 
 def channel_moves(k):
     return [1 << i | 1 << j for j in range(k) for i in range(j)]
@@ -213,95 +219,63 @@ def internal_order(g):
     return _Membership(g)._nodes[len(g.ports):]
 
 
-def mate_state(g, mate):
-    """The edge subset of a mate array: per internal node, its partner's
-    number in the compiled form, or ``~i`` for port ``g.ports[i]``."""
-    internal = internal_order(g)
-    assert len(mate) == len(internal)
-    labels = [internal[m] if m >= 0 else g.ports[~m] for m in mate]
-    return g.subset(zip(internal, labels))
+def dp_cell(g):
+    """The cell by the frontier DP, read bit by bit; None over budget."""
+    realized = _Membership(g).realized()
+    if realized is None:
+        return None
+    return {m for m in range(realized.bit_length()) if realized >> m & 1}
 
 
-def warm_cell(g):
-    """The cell by warm-started moves; each carried state must be a Kekulé
-    state realizing its member, and only unexpanded members keep one."""
-    state, member = start_of(g)
-    warm = _WarmMoves(_Membership(g), member, state)
-    assert is_kekule_state(g, EdgeSubset(g, state))
-    order = {member: 0}  # acceptance order
-
-    def accept(parent, mask):
-        if not warm(parent, mask):
-            return False
-        got, mate = warm._queue[-1]
-        w = mate_state(g, mate)
-        assert got == mask and is_kekule_state(g, w), (g.edges, parent, mask)
-        assert port_assignment(g, w).mask == mask
-        order[mask] = len(order)
-        # states are kept for exactly the members accepted after the parent
-        assert len(warm._queue) == len(order) - 1 - order[parent]
-        return True
-
-    return closure(member, channel_moves(len(g.ports)), accept)
-
-
-def assert_moves_exact(g):
-    """From every Kekulé state, each channel move is decided as the probe
-    decides its target, and an accepted move carries a state realizing it."""
+def takes_dp_route(g):
+    """Whether ``kekule_cell`` ends in the frontier DP: a state, two ports
+    or more, a layer left open and the DP within budget."""
     probe = _Membership(g)
-    moves = channel_moves(len(g.ports))
-    for w in enumerate_kekule_states(g):
-        member = port_assignment(g, w).mask
-        warm = _WarmMoves(probe, member, w.mask)
-        for move in moves:
-            target = member ^ move
-            assert warm(member, target) == probe(target), (g.edges, w.mask, target)
-            if probe(target):
-                child = mate_state(g, warm._queue[-1][1])
-                assert port_assignment(g, child).mask == target
-
-
-def takes_warm_route(g):
-    return _warm_route_exact(_Membership(g))
+    start = next(probe.covers(), None)
+    if start is None or len(g.ports) < 2:
+        return False
+    parity = port_assignment(g, EdgeSubset(g, start)).mask.bit_count() & 1
+    return (not all(settled for _, settled in probe.layers(parity))
+            and probe.realized() is not None)
 
 
 def assert_routes_agree(g, enumerable=True):
-    """``kekule_cell`` equals the probe closure, the warm closure where that
-    route runs, and the assignments of the enumerated states."""
+    """``kekule_cell`` equals the probe closure, the frontier DP where it is
+    within budget, and the assignments of the enumerated states."""
     cell = kekule_cell(g, allow_large=True).masks
     assert cell == probe_cell(g), g.edges
-    if takes_warm_route(g):
-        assert cell == warm_cell(g), g.edges
+    dp = dp_cell(g)
+    assert dp is None or dp == cell, g.edges
     if enumerable:
         assert cell == {port_assignment(g, w).mask for w in enumerate_kekule_states(g)}
     return cell
 
 
 def test_routes_agree_on_the_atlas():
-    warm = 0
+    dp = 0
     for g in atlas_graphs():
         if next(_Membership(g).covers(), None) is None:
-            assert kekule_cell(g).masks == frozenset()
+            assert kekule_cell(g).masks == frozenset() == dp_cell(g)
             continue
         assert_routes_agree(g)
-        if len(g.ports) >= 2 and takes_warm_route(g):
-            assert_moves_exact(g)
-            warm += 1
-    assert warm >= 40
+        dp += takes_dp_route(g)
+    assert dp >= 150
 
 
 @pytest.mark.parametrize("n", [*range(3, 13), 300, 3000])
 def test_warm_route_on_chains(n):
     g = make_A(n)
-    assert takes_warm_route(g)
+    assert takes_dp_route(g)
     assert_routes_agree(g)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_delta_keeps_the_probe_route(n):
-    # the complete core is not bipartite from the triangle on; delta2 is one edge
+    # every layer settles from the triangle on, so the DP checks the parity
+    # class there; delta2 is one bipartite edge and takes the DP
     g = make_delta(n)
-    assert takes_warm_route(g) == (n == 2)
+    assert takes_dp_route(g) == (n == 2)
+    assert dp_cell(g) == set(parity_space(g.ports, signature(g)).masks)
     assert len(assert_routes_agree(g)) == 1 << (n - 1)
 
 
@@ -311,34 +285,31 @@ def test_delta_keeps_the_probe_route(n):
 ])
 def test_warm_route_on_hex_patches(m, n, ports, seed):
     g = hex_patch(m, n, ports, random.Random(seed))
-    assert takes_warm_route(g)
+    assert takes_dp_route(g)
     assert_routes_agree(g)
-    if m * n <= 6:  # every state of the larger patches takes too long
-        assert_moves_exact(g)
 
 
-def test_warm_route_past_the_enumeration_range():
+def test_dp_past_the_enumeration_range():
     g = hex_patch(6, 6, 12, random.Random(2))
-    assert takes_warm_route(g)
+    assert takes_dp_route(g)
     assert len(assert_routes_agree(g, enumerable=False)) == 637
 
 
-def test_warm_route_with_several_ports_on_one_node():
+def test_dp_with_several_ports_on_one_node():
     # a hexagon x1..x6 with two ports on x1, two on x4, one on x2 and x3,
     # and three on the stub node y hanging off x6
     g = Graph([("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5"), ("x5", "x6"),
                ("x6", "x1"), ("x6", "y"), ("x1", "p1"), ("x1", "p2"), ("x4", "p3"),
                ("x4", "p4"), ("x2", "p5"), ("x3", "p6"), ("y", "p7"), ("y", "p8"),
                ("y", "p9")])
-    assert takes_warm_route(g)
+    assert takes_dp_route(g)
     cell = assert_routes_agree(g)
     assert 0 < len(cell) < 1 << (len(g.ports) - 1)
-    assert_moves_exact(g)
 
 
 def test_random_bipartite_cores_with_crowded_ports():
     rng = random.Random(21)
-    warm = 0
+    dp = 0
     for _ in range(300):
         left, right = rng.randint(1, 4), rng.randint(1, 4)
         edges = {(f"l{i}", f"r{j}") for i in range(left) for j in range(right)
@@ -349,24 +320,24 @@ def test_random_bipartite_cores_with_crowded_ports():
         edges |= {(f"p{i:02d}", rng.choice(nodes)) for i in range(rng.randint(2, 7))}
         g = Graph(sorted(edges))
         if next(_Membership(g).covers(), None) is None:
+            assert dp_cell(g) == set()
             continue
         assert_routes_agree(g)
-        if takes_warm_route(g):
-            assert_moves_exact(g)
-            warm += 1
-    assert warm >= 100
+        dp += takes_dp_route(g)
+    assert dp >= 100
 
 
-def test_port_port_edge_keeps_the_probe_route():
+def test_port_port_edges_fold_into_the_dp():
     # a square with two ports and an isolated port pair
     g = Graph([("q1", "q2"), ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"),
                ("x", "p1"), ("y", "p2")])
-    assert not takes_warm_route(g)
+    assert takes_dp_route(g)
     assert assert_routes_agree(g) == {0b0000, 0b0011, 0b1100, 0b1111}
-    assert not takes_warm_route(PORT_PAIR_GRAPH)
+    assert takes_dp_route(PORT_PAIR_GRAPH)
     assert_routes_agree(PORT_PAIR_GRAPH)
-    # make_A(2) is a single port-port edge
-    assert not takes_warm_route(make_A(2))
+    # make_A(2) is a single port-port edge: no internal node, one empty
+    # state, and the edge folded in as the mask 0b11
+    assert _Membership(make_A(2)).realized() == 1 | 1 << 0b11
     assert assert_routes_agree(make_A(2)) == {0b00, 0b11}
 
 
@@ -375,14 +346,14 @@ def test_mixed_components():
     triangle = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "p3")]
     hexagon = [(f"h{i}", f"h{(i + 1) % 6}") for i in range(6)] + [("h0", "p4"),
                                                                    ("h3", "p5")]
-    # a non-bipartite component, with ports or without, sends the graph to the probe
+    # a non-bipartite component, with ports or without
     for edges in (square + triangle, square + triangle[:3] + [("c", "d")]):
         g = Graph(edges)
-        assert not takes_warm_route(g)
+        assert takes_dp_route(g)
         assert_routes_agree(g)
-    # two bipartite components: the cut rejects moves across them
+    # two bipartite components: each keeps its own even share of the ports
     g = Graph(square + hexagon)
-    assert takes_warm_route(g)
+    assert takes_dp_route(g)
     assert assert_routes_agree(g) == {0b0000, 0b0011, 0b1100, 0b1111}
 
 
@@ -391,6 +362,221 @@ def test_no_start_state_no_route(no_state_graph):
     assert kekule_cell(no_state_graph).masks == frozenset()
     probe = _Membership(no_state_graph)
     assert not any(probe(mask) for mask in range(1 << len(no_state_graph.ports)))
+    assert probe.realized() == 0
+
+
+def test_dp_on_dense_cores_with_shared_and_paired_ports():
+    rng = random.Random(45)
+    dp = 0
+    for i in range(200):
+        edges = dense_core_with_ports(rng, port_pair=i % 2 == 1)
+        g = Graph(edges)
+        if next(_Membership(g).covers(), None) is None:
+            assert dp_cell(g) == set()
+            continue
+        cell = assert_routes_agree(g)
+        if len(edges) <= 13:
+            assert {frozenset(Assignment(g.ports, m).labels()) for m in cell} \
+                == oracle.cell_of(edges), edges
+        dp += takes_dp_route(g)
+    assert dp >= 150
+
+
+def test_dp_on_random_non_bipartite_graphs():
+    rng = random.Random(46)
+    odd = 0
+    while odd < 150:
+        g = random_connected_graph(rng, max_edges=14)
+        core = nx.Graph([e for e in g.edges if not set(e) & set(g.ports)])
+        if nx.is_bipartite(core):
+            continue
+        odd += 1
+        if next(_Membership(g).covers(), None) is None:
+            assert dp_cell(g) == set()
+            continue
+        cell = assert_routes_agree(g)
+        if len(g.edges) <= 10:
+            assert {frozenset(Assignment(g.ports, m).labels()) for m in cell} \
+                == oracle.cell_of(list(g.edges)), g.edges
+
+
+def c60_with_ports():
+    """C60, the truncated icosahedron, with one pendant port per pentagon.
+
+    Each icosahedron vertex v becomes a pentagon of nodes (v, u), one per
+    neighbour u in the clockwise order of a planar embedding, and each
+    icosahedron edge {u, v} joins (u, v) to (v, u)."""
+    ico = nx.icosahedral_graph()
+    _, embedding = nx.check_planarity(ico)
+    edges = []
+    for v in ico:
+        ring = list(embedding.neighbors_cw_order(v))
+        edges += [(f"c{v:02d}{a:02d}", f"c{v:02d}{b:02d}")
+                  for a, b in zip(ring, ring[1:] + ring[:1])]
+    edges += [(f"c{u:02d}{v:02d}", f"c{v:02d}{u:02d}") for u, v in ico.edges]
+    edges += [(f"p{v:02d}", f"c{v:02d}{min(ico[v]):02d}") for v in ico]
+    return Graph(edges)
+
+
+def fused_ring_chain(sizes, ports, rng):
+    """Rings of the given sizes fused in a row, each sharing a rung with the
+    next, as pentagons and heptagons fuse in azulene; pendant ports go on
+    ``ports`` of the degree-2 nodes."""
+    edges = [("t00", "b00")]
+    top, bottom = "t00", "b00"
+    for r, size in enumerate(sizes):
+        up = (size - 3) // 2  # a ring of size s adds s - 4 nodes between its rungs
+        upper = [top] + [f"u{r:02d}{i}" for i in range(up)] + [f"t{r + 1:02d}"]
+        lower = [bottom] + [f"d{r:02d}{i}" for i in range(size - 4 - up)] + [f"b{r + 1:02d}"]
+        edges += list(zip(upper, upper[1:])) + list(zip(lower, lower[1:]))
+        top, bottom = upper[-1], lower[-1]
+        edges.append((top, bottom))
+    degree = {}
+    for e in edges:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    spots = sorted(rng.sample(sorted(v for v, d in degree.items() if d == 2), ports))
+    return Graph(edges + [(f"p{i:02d}", v) for i, v in enumerate(spots)])
+
+
+def caterpillar(spine):
+    """A path of ``spine`` nodes with two pendant ports on each."""
+    return Graph([(f"s{i:02d}", f"s{i + 1:02d}") for i in range(spine - 1)]
+                 + [(f"p{i:02d}{side}", f"s{i:02d}") for i in range(spine) for side in "ab"])
+
+
+def caterpillar_cell_size(spine):
+    """Each spine node takes one of its two ports or none, and the nodes that
+    take none must pair off along the path: runs of even length."""
+    total = 0
+    for taken in range(1 << spine):
+        runs = "".join("1" if taken >> i & 1 else "0" for i in range(spine)).split("1")
+        if all(len(run) % 2 == 0 for run in runs):
+            total += 2 ** taken.bit_count()
+    return total
+
+
+def test_dp_on_c60_with_pendant_ports():
+    g = c60_with_ports()
+    assert len(g.internal) == 60 and len(g.edges) == 90 + 12
+    assert not nx.is_bipartite(nx.Graph(g.edges))
+    cell = assert_routes_agree(g, enumerable=False)
+    assert len(cell) == realized_assignment_count(g) == parity_scan_count(g)
+
+
+def test_dp_on_a_fused_five_seven_ring_chain():
+    g = fused_ring_chain([5, 7] * 4, 12, random.Random(1))
+    assert not nx.is_bipartite(nx.Graph(g.edges))
+    cell = assert_routes_agree(g)
+    assert len(cell) == realized_assignment_count(g) == parity_scan_count(g)
+
+
+@pytest.mark.parametrize("spine", range(2, 7))
+def test_dp_on_caterpillars(spine):
+    g = caterpillar(spine)
+    assert len(assert_routes_agree(g)) == caterpillar_cell_size(spine)
+
+
+@pytest.mark.parametrize("g", [hex_patch(m, n, k, random.Random(seed))
+                               for m, n, k, seed in ((3, 3, 8, 1), (4, 4, 10, 2), (4, 4, 12, 3),
+                                                     (6, 6, 12, 4))]
+                         + [c60_with_ports(), fused_ring_chain([5, 7] * 4, 12, random.Random(1))],
+                         ids=["hex3x3", "hex4x4-10", "hex4x4-12", "hex6x6", "c60", "5-7-chain"])
+def test_dp_route_makes_no_probe(g, per_mask_calls):
+    cell = kekule_cell(g, allow_large=True)
+    assert realized_assignment_count(g) == len(cell)
+    assert per_mask_calls == {"__call__": 0, "_completes": 0}
+
+
+def test_24_port_caterpillar_makes_no_probe(per_mask_calls):
+    # past omni's 20-port cap, so only the cell is counted
+    assert len(kekule_cell(caterpillar(12))) == caterpillar_cell_size(12) == 33461
+    assert per_mask_calls == {"__call__": 0, "_completes": 0}
+
+
+def traced_realized(g):
+    """``_Membership(g).realized()`` and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        realized = _Membership(g).realized()
+        return realized, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_core_past_the_budget_falls_back_to_the_probe_closure():
+    # 24 nodes at density 0.5, 14 ports, two of them on one node: the
+    # frontier outgrows the budget, which is checked while a step's states
+    # are made, so the old and new states stay within twice its 8 MB
+    rng = random.Random(3)
+    core = [e for e in complete([f"v{i:02d}" for i in range(24)]) if rng.random() < 0.5]
+    spots = rng.sample(range(24), 13)
+    g = Graph(core + [(f"p{i:02d}", f"v{s:02d}") for i, s in enumerate(spots)]
+              + [("p13", f"v{spots[0]:02d}")])
+    realized, peak = traced_realized(g)
+    assert realized is None and not takes_dp_route(g)
+    assert peak < kekule._DP_BITS // 4
+    cell = assert_routes_agree(g, enumerable=False)
+    assert len(cell) == realized_assignment_count(g) == parity_scan_count(g)
+
+
+def complete_bipartite(m, ports):
+    return Graph([(f"a{i:02d}", f"b{j:02d}") for i in range(m) for j in range(m)]
+                 + [(f"p{i}", node) for i, node in enumerate(ports)])
+
+
+def grid_with_ports(width, height, ports):
+    """A width x height square grid with pendant ports down its first column."""
+    node = "g{:02d}_{:02d}".format
+    return Graph([(node(x, y), node(x + 1, y)) for x in range(width - 1) for y in range(height)]
+                 + [(node(x, y), node(x, y + 1)) for x in range(width) for y in range(height - 1)]
+                 + [(f"p{i}", node(0, i)) for i in range(ports)])
+
+
+@pytest.mark.parametrize("m", [24, 30])
+def test_dense_bipartite_core_with_two_ports_gives_up_early(m):
+    # the frontier of K_{m,m} would reach millions of states; with two ports
+    # the probe closure needs at most two probes, so the DP stops within the
+    # steps the budget holds states and leaves the cell to the probes
+    for ports, masks in ((("a00", "a01"), {0b00}), (("a00", "b00"), {0b00, 0b11})):
+        g = complete_bipartite(m, ports)
+        realized, peak = traced_realized(g)
+        assert realized is None and peak < kekule._DP_BITS // 4
+        assert kekule_cell(g, allow_large=True).masks == masks
+        assert realized_assignment_count(g) == len(masks)
+
+
+def test_a_step_that_multiplies_the_states_stops_within_the_budget():
+    # K_{100,100} with ten ports: about 10^4 states after the first node,
+    # which the second multiplies by its 99 later neighbours to about
+    # 5 x 10^5; the states are counted while they are made, so the DP stops
+    # near 5 x 10^4 of them
+    g = complete_bipartite(100, [f"a{i:02d}" for i in range(10)])
+    realized, peak = traced_realized(g)
+    assert realized is None and peak < kekule._DP_BITS // 4
+    assert kekule_cell(g, allow_large=True).masks == {0}
+
+
+def test_wide_grid_with_few_ports_gives_up_early():
+    # a 12-wide grid keeps a few thousand frontier states over 480 steps:
+    # within the bit budget, but more steps than the six members of its cell
+    # cost as probes
+    g = grid_with_ports(12, 40, 4)
+    assert _Membership(g).realized() is None
+    assert len(assert_routes_agree(g, enumerable=False)) == 6
+    assert realized_assignment_count(g) == 6
+
+
+def test_port_pair_fold_past_the_budget_falls_back(monkeypatch):
+    # with a budget of 2^8 bits, the span of three port pairs (64 masks)
+    # fits, and that of five (1024) falls back to the probe closure
+    monkeypatch.setattr(kekule, "_DP_BITS", 1 << 8)
+    for pairs, fits in ((3, True), (5, False)):
+        g = Graph([(f"p{i}a", f"p{i}b") for i in range(pairs)])
+        span = {sum(0b11 << 2 * i for i in range(pairs) if chosen >> i & 1)
+                for chosen in range(1 << pairs)}
+        assert _Membership(g).realized() == (sum(1 << m for m in span) if fits else None)
+        assert kekule_cell(g).masks == span
 
 
 # -- the omniconjugation scans: the min-degree cut and the counting route ----------
@@ -469,15 +655,18 @@ def parity_scan_count(g):
 
 def assert_counts_agree(g):
     """``realized_assignment_count`` against the parity scan and the cell;
-    True when it took the warm-started cell route."""
+    True when it counted by the frontier DP: no layer settles and the DP
+    stays within budget."""
     count = realized_assignment_count(g)
     assert count == parity_scan_count(g) == len(kekule_cell(g, allow_large=True)), g.edges
-    return _warm_route_exact(_Membership(g))
+    probe = _Membership(g)
+    return (not any(settled for _, settled in probe.layers(signature(g)))
+            and probe.realized() is not None)
 
 
 def test_counts_agree_on_the_atlas():
     routes = [assert_counts_agree(g) for g in atlas_graphs() if len(g.ports) >= 2]
-    assert routes.count(True) >= 40 and routes.count(False) >= 100
+    assert routes.count(True) >= 150 and routes.count(False) >= 10
 
 
 @pytest.mark.parametrize("m, n, ports, seed", [
