@@ -20,16 +20,21 @@ assignment with j ports leaves the same number of free nodes, so that cut
 settles a whole cardinality layer at once (:meth:`_Membership.layers`) and
 its assignments are never probed one by one.
 
-The cell itself needs no enumeration either: :meth:`_Membership.realized`
-runs a frontier (transfer-matrix) DP over the internal nodes whose values are
-sets of port masks, one int bitset each, and so gives the whole cell in one
-pass, exact on any core.  Port-port edges stay out of the DP and are folded
-in after it.  Where every layer of the parity class settles, the cell is that
-class; where the DP's sets outgrow a fixed budget, :func:`kekule_cell` falls
-back to a search over channel moves from the assignment of one state, each
-new assignment decided by the membership probe.  The channel-decomposition
-law (any two members are joined by disjoint channels whose partial sums are
-all members) makes that search complete.
+The cell itself needs no enumeration, and no first state either.  By the
+parity law every state touches as many ports, mod 2, as there are internal
+nodes, so the cell lies in the parity class of
+:func:`~kekulec.graph.signature`; below two ports that class holds at most
+one mask, and one probe decides it.  :meth:`_Membership.realized` runs a
+frontier (transfer-matrix) DP over the internal nodes whose values are sets
+of port masks, one int bitset each, and so gives the whole cell in one pass,
+exact on any core, empty where there is no state.  Port-port edges stay out
+of the DP and are folded in after it.  Where every layer of the parity class
+settles, the cell is that class; where the DP's sets outgrow a fixed budget,
+:func:`kekule_cell` falls back to a search over channel moves from the
+assignment of a first state of the cover search, each new assignment decided
+by the membership probe.  The channel-decomposition law (any two members are
+joined by disjoint channels whose partial sums are all members) makes that
+search complete.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Iterator
 from . import gf2
 from .cells import Assignment, Cell, channel, closure, layer_masks, parity_space
 from .errors import KekulecError
-from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve
+from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve, signature
 
 _RANK_CAP = 24
 # the frontier DP of _Membership.realized gives up past this many bits (8 MB)
@@ -58,6 +63,13 @@ def _check_scale(g: Graph, allow_large: bool) -> None:
     if r > _RANK_CAP:
         raise KekulecError(
             f"state count bound 2^{r} exceeds 2^{_RANK_CAP}; {_OVERRIDE}")
+
+
+def _closure_probes(k: int) -> int:
+    """The probes the channel-move closure of :func:`kekule_cell` makes at
+    most for k ports: C(k, 2) moves from each of the 2^(k-1) masks of the
+    parity class."""
+    return comb(k, 2) << k >> 1
 
 
 def _check_port_pairs(count: int, allow_large: bool) -> None:
@@ -194,26 +206,28 @@ class _Membership:
             self._port_node.append(other >> k)
             if 1 << j < other < 1 << k:
                 self._port_pairs.append(1 << j | other)
+        # breadth-first by whole layers, the odd ones colour 1: an edge joins
+        # two layers at most one apart, so the component is bipartite iff no
+        # edge stays inside a layer
         out = []
         left = self._internal
         while left:
-            start = left & -left
-            comp, colour, bipartite = start, 0, True
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                odd = bool(colour & node)
-                nbrs = adj[node.bit_length() - 1]
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    if not comp & low:
-                        comp |= low
-                        if not odd:
-                            colour |= low
-                        stack.append(low)
-                    elif bool(colour & low) == odd:
-                        bipartite = False
+            comp = layer = left & -left
+            colour, odd, bipartite = 0, False, True
+            while layer:
+                reach = 0
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    reach |= adj[low.bit_length() - 1]
+                if reach & layer:
+                    bipartite = False
+                layer = reach & ~comp
+                comp |= layer
+                odd = not odd
+                if odd:
+                    colour |= layer
             out.append((comp, colour if bipartite else None))
             left &= ~comp
         self._components = out
@@ -321,7 +335,7 @@ class _Membership:
             return None  # the final set alone would pass the budget
         n, k = len(adj), len(self._port_node)
         overhead = n + 1024
-        steps = _DP_BITS // overhead + 4 * n * (comb(k, 2) << k >> 1)
+        steps = _DP_BITS // overhead + 4 * n * _closure_probes(k)
         states = {0: 1}
         done = 0
         reach = 0  # the largest mask so far: the sets hold at most reach + 1 bits
@@ -502,37 +516,46 @@ def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
 def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     """The set of port assignments realized by some Kekulé state.
 
-    Where every cardinality layer of the parity class settles
-    (:meth:`_Membership.layers`), the cell is the whole class.  Otherwise it
-    comes from the frontier DP (:meth:`_Membership.realized`).  Past the
-    DP's budget it is
-    :func:`~kekulec.cells.closure` of the assignment of one state under
-    channel moves, each new assignment one channel toggle away from a member
-    probed once by :class:`_Membership`.  By the channel-decomposition law
-    any two members are joined by disjoint channels whose partial sums are
-    all members, so that search reaches the whole cell, at about
-    |cell| x k^2 probes for k ports.
+    Every state touches as many ports, mod 2, as there are internal nodes,
+    so the cell lies in the parity class of :func:`~kekulec.graph.signature`.
+    Below two ports that class holds at most one mask, decided by one probe
+    of :class:`_Membership`.  Where every cardinality layer of the class
+    settles (:meth:`_Membership.layers`), the cell is the whole class.
+    Otherwise it comes from the frontier DP (:meth:`_Membership.realized`),
+    which gives the empty cell of a graph without a state as well.  Past the
+    DP's budget it is :func:`~kekulec.cells.closure` of the assignment of a
+    first state, found by the cover search, under channel moves, each new
+    assignment one channel toggle away from a member and probed once.  By
+    the channel-decomposition law any two members are joined by disjoint
+    channels whose partial sums are all members, so that search reaches the
+    whole cell, at about |cell| x k^2 probes for k ports; without
+    ``allow_large`` it is refused where its worst case, 2^(k-1) C(k, 2)
+    probes, passes 2^24.
     """
     _check_scale(g, allow_large)
-    return _cell(g, _Membership(g), allow_large)
-
-
-def _cell(g: Graph, probe: _Membership, allow_large: bool) -> Cell:
-    """:func:`kekule_cell` past its scale guard, on the compiled form ``probe``."""
-    start = next(probe.covers(), None)
-    if start is None:
-        return Cell(g.ports, frozenset())
     ports = g.ports
-    member = port_assignment(g, EdgeSubset(g, start)).mask
-    if len(ports) < 2:
-        return Cell(ports, frozenset((member,)))
-    parity = member.bit_count() & 1
+    k = len(ports)
+    parity = signature(g)
+    probe = _Membership(g)
+    if k < 2:
+        # the one mask of the class is the parity; with no port an odd one has none
+        member = parity <= k and probe(parity)
+        return Cell(ports, frozenset((parity,)) if member else frozenset())
     if all(settled for _, settled in probe.layers(parity)):
         return parity_space(ports, parity)
-    _check_port_pairs(len(probe._port_pairs), allow_large)
     realized = probe.realized()
     if realized is None:
-        moves = [1 << i | 1 << j for j in range(len(ports)) for i in range(j)]
+        start = next(probe.covers(), None)
+        if start is None:
+            return Cell(ports, frozenset())
+        # past 24 port-port edges their fold alone passes the DP's budget,
+        # so a graph refused here has never run the DP
+        _check_port_pairs(len(probe._port_pairs), allow_large)
+        if _closure_probes(k) > 1 << _RANK_CAP and not allow_large:
+            raise KekulecError(f"cell search bound 2^{k - 1} C({k}, 2) probes exceeds "
+                               f"2^{_RANK_CAP}; {_OVERRIDE}")
+        member = port_assignment(g, EdgeSubset(g, start)).mask
+        moves = [1 << i | 1 << j for j in range(k) for i in range(j)]
         return Cell(ports, closure(member, moves, lambda _, mask: probe(mask)))
     # bit m of the set is mask m: read the set bits off its binary digits
     digits = bin(realized)[:1:-1]

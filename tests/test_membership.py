@@ -4,12 +4,15 @@ search they replace, and against the closure over probes.
 ``_Membership(g)(mask)`` decides cell membership by a matching search on the
 internal nodes; ``kekule_states_for`` enumerates the states of the assignment
 by backtracking.  Both must agree on every mask, of either parity.
-``kekule_cell`` takes its cell from the frontier DP (``_Membership.realized``)
-or, past the DP's budget, walks channel moves from one state; either way it
-must find exactly the assignments of the enumerated states.
+``kekule_cell`` takes its parity class from ``signature(g)``, decides a class
+of one mask by one probe, and otherwise takes its cell from the settled
+layers, the frontier DP (``_Membership.realized``) or, past the DP's budget,
+channel moves from one state; every route must find exactly the assignments
+of the enumerated states.
 """
 
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -202,7 +205,8 @@ def channel_moves(k):
 
 
 def start_of(g):
-    """The start state of ``kekule_cell`` and its port assignment."""
+    """The first state of the cover search, where the probe closure that
+    ``kekule_cell`` falls back to starts, and its port assignment."""
     state = next(_Membership(g).covers())
     return state, port_assignment(g, EdgeSubset(g, state)).mask
 
@@ -228,14 +232,13 @@ def dp_cell(g):
 
 
 def takes_dp_route(g):
-    """Whether ``kekule_cell`` ends in the frontier DP: a state, two ports
-    or more, a layer left open and the DP within budget."""
-    probe = _Membership(g)
-    start = next(probe.covers(), None)
-    if start is None or len(g.ports) < 2:
+    """Whether ``kekule_cell`` ends in the frontier DP: two ports or more, a
+    layer of the parity class of ``signature(g)`` left open and the DP
+    within budget."""
+    if len(g.ports) < 2:
         return False
-    parity = port_assignment(g, EdgeSubset(g, start)).mask.bit_count() & 1
-    return (not all(settled for _, settled in probe.layers(parity))
+    probe = _Membership(g)
+    return (not all(settled for _, settled in probe.layers(signature(g)))
             and probe.realized() is not None)
 
 
@@ -873,11 +876,10 @@ def test_layers_agree_on_delta(n):
     assert settled == ([] if n == 2 else list(range(n % 2, n + 1, 2)))
 
 
-@pytest.fixture()
-def per_mask_calls(monkeypatch):
-    """Counts of ``_Membership.__call__`` and ``_completes``, by name."""
-    calls = {"__call__": 0, "_completes": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names):
+    """Counts of calls to the named ``_Membership`` methods, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         real = getattr(_Membership, name)
 
         def counted(self, *args, _real=real, _name=name):
@@ -886,6 +888,12 @@ def per_mask_calls(monkeypatch):
 
         monkeypatch.setattr(_Membership, name, counted)
     return calls
+
+
+@pytest.fixture()
+def per_mask_calls(monkeypatch):
+    """Counts of ``_Membership.__call__`` and ``_completes``, by name."""
+    return count_calls(monkeypatch, "__call__", "_completes")
 
 
 @pytest.mark.parametrize("n", range(3, 21))
@@ -927,3 +935,108 @@ def test_pendant_core_law_on_settled_layers():
         else:  # K2 is bipartite: its layers stay with the per-mask scan
             assert complete_core and settled_layers(g) == []
     assert checked == len(atlas_graphs()) - 1
+
+
+# -- the route of kekule_cell: the parity class from the signature -------------------
+
+@pytest.fixture()
+def route_calls(monkeypatch):
+    """Counts of the ``_Membership`` calls that take a cell's route, by name,
+    and of the ``realized()`` calls that gave up (returned None)."""
+    calls = count_calls(monkeypatch, "__call__", "covers", "realized")
+    calls["gave_up"] = 0
+    counted = _Membership.realized
+
+    def realized(self):
+        masks = counted(self)
+        calls["gave_up"] += masks is None
+        return masks
+
+    monkeypatch.setattr(_Membership, "realized", realized)
+    return calls
+
+
+def oracle_masks(g):
+    """The oracle's cell as port masks over ``g.ports``."""
+    bit = {p: 1 << i for i, p in enumerate(g.ports)}
+    return {sum(bit[p] for p in labels) for labels in oracle.cell_of(list(g.edges))}
+
+
+def test_cell_agrees_with_the_oracle_on_small_atlas_graphs():
+    graphs = atlas_graphs(max_edges=10)
+    assert len(graphs) >= 500
+    for g in graphs:
+        assert kekule_cell(g).masks == oracle_masks(g), g.edges
+
+
+SQUARE = [("w", "x"), ("x", "y"), ("y", "z"), ("w", "z")]
+TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
+# the two-port graph of the ``no_state_graph`` fixture: two pendant triangles
+# on a path, whose middle node a3 carries the stub d2 with the ports d1 and d3
+NO_STATE = [("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a1", "u1"),
+            ("a2", "u1"), ("a4", "u2"), ("a5", "u2"), ("a3", "d2"), ("d1", "d2"),
+            ("d2", "d3")]
+
+
+@pytest.mark.parametrize("edges, masks", [
+    (SQUARE, {0}),
+    (TRIANGLE + [("x", "y"), ("y", "z"), ("x", "z")], set()),
+    (TRIANGLE, set()),
+    (TRIANGLE + [("c", "p1")], {1}),
+    # without d3, d2 must take a3 and leaves both triangles odd
+    (NO_STATE[:-1], set()),
+    (NO_STATE, set()),
+    ([("q1", "q2")], {0b00, 0b11}),
+    # the square takes both of its ports or neither, the triangle its one port
+    (SQUARE + [("p1", "x"), ("p2", "y")] + TRIANGLE + [("c", "p3")], {0b100, 0b111}),
+], ids=["k0-even", "k0-even-no-state", "k0-odd", "k1", "k1-no-state", "k2-no-state",
+        "port-port-edge", "two-components"])
+def test_named_cells_and_their_routes(edges, masks, route_calls):
+    g = Graph(edges)
+    k = len(g.ports)
+    assert kekule_cell(g).masks == masks == oracle_masks(g)
+    # below two ports one probe decides the one mask of the class, and no
+    # port with an odd parity leaves the class empty; from two ports on, the
+    # DP gives every cell here, the empty ones included
+    probes = int(signature(g) <= k) if k < 2 else 0
+    assert route_calls == {"__call__": probes, "covers": 0, "realized": int(k >= 2),
+                           "gave_up": 0}
+
+
+def test_cover_search_only_behind_the_fallback(route_calls):
+    graphs = [*atlas_graphs(), make_delta(6), make_A(40), caterpillar(8),
+              hex_patch(4, 4, 10, random.Random(2)),
+              complete_bipartite(24, ("a00", "a01")), complete_bipartite(24, ("a00", "b00"))]
+    fallbacks = 0
+    for g in graphs:
+        for name in route_calls:
+            route_calls[name] = 0
+        kekule_cell(g, allow_large=True)
+        assert route_calls["covers"] == route_calls["gave_up"] <= 1, g.edges
+        if len(g.ports) < 2:
+            assert route_calls["__call__"] == int(signature(g) <= len(g.ports)), g.edges
+            assert route_calls["realized"] == 0
+        fallbacks += route_calls["covers"]
+    assert fallbacks == 2
+
+
+def test_caterpillar_past_the_dp_budget_is_refused():
+    # cycle rank 0, so only the price of the probe closure can refuse it: the
+    # DP gives up on 26 ports, and the closure could take 2^25 C(26, 2) probes
+    g = caterpillar(13)
+    start = time.perf_counter()
+    with pytest.raises(KekulecError, match=r"^cell search bound 2\^25 C\(26, 2\) probes "
+                                           r"exceeds 2\^24; pass allow_large=True"):
+        kekule_cell(g)
+    assert time.perf_counter() - start < 1
+    assert _Membership(g).realized() is None
+
+
+def test_closure_price_admits_up_to_seventeen_ports(monkeypatch):
+    # with a budget of 2^8 bits the DP gives up on every caterpillar below;
+    # 2^15 C(16, 2) probes are within 2^24, and 2^17 C(18, 2) are not
+    monkeypatch.setattr(kekule, "_DP_BITS", 1 << 8)
+    assert kekule._closure_probes(17) <= 1 << 24 < kekule._closure_probes(18)
+    assert len(kekule_cell(caterpillar(8))) == caterpillar_cell_size(8)
+    with pytest.raises(KekulecError, match=r"2\^17 C\(18, 2\) probes"):
+        kekule_cell(caterpillar(9))
