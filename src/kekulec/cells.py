@@ -106,18 +106,17 @@ class Cell:
         return [str(k) for k in self.members()]
 
 
-def ordered_masks(n: int, parity: int | None = None,
-                  values: Sequence[int] | None = None) -> Iterator[int]:
+def ordered_masks(n: int, parity: int | None = None) -> Iterator[int]:
     """Masks over ``n`` ports in member order, lazily; only the masks of
-    one cardinality parity when ``parity`` is given.  With ``values``, one
-    per port, each mask comes as the sum of its ports' values instead."""
+    one cardinality parity when ``parity`` is given."""
     for k in range(parity or 0, n + 1, 1 if parity is None else 2):
-        yield from layer_masks(n, k, values)
+        yield from layer_masks(n, k)
 
 
 def layer_masks(n: int, k: int, values: Sequence[int] | None = None) -> Iterator[int]:
     """The masks with ``k`` of ``n`` ports, the layer of :func:`ordered_masks`
-    that holds them, in member order; with ``values`` as there."""
+    that holds them, in member order.  With ``values``, one per port, each
+    mask comes as the sum of its ports' values instead."""
     return map(sum, combinations(values or [1 << i for i in range(n)], k))
 
 

@@ -300,8 +300,7 @@ def cycle_basis(g: Graph) -> list[EdgeSubset]:
     tree_mask = 0
     seen = {root}
     queue = [root]
-    while queue:
-        n = queue.pop(0)
+    for n in queue:  # grows while it is walked: breadth-first
         for nb, bit in g.neighbors(n):
             if nb not in seen:
                 seen.add(nb)

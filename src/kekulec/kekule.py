@@ -1,19 +1,20 @@
 """Kekulé states: predicate, enumeration, cells, alternating curves and paths.
 
 A Kekulé state is an edge subset giving every internal node exactly one
-incident chosen edge.  :class:`_Membership` compiles a graph once into one
-node numbering and lists its states by a cover search over internal nodes
-in ascending (degree, label) order, so small branching factors fail fast;
-edges between two ports are unconstrained and multiply solutions freely.
+incident chosen edge.  :func:`_covers` lists the states by a cover search
+over internal nodes in ascending (degree, label) order, so small branching
+factors fail fast; edges between two ports are unconstrained and multiply
+solutions freely.
 
 Membership of one port assignment in the Kekulé cell needs no enumeration:
 the assignment forces every port edge, and a state exists exactly when the
 port-port edges agree with it and the internal nodes it leaves uncovered
 have a perfect matching among internal-internal edges (Edmonds 1965).
-The same compiled form decides that test with bit masks, for one assignment
-(``probe(mask)``) or for a whole parity class in member order
-(:meth:`_Membership.scan`), which shares the covering of port nodes across
-assignments.  Both end in one post-cover test, whose O(1) degree cut
+:class:`_Membership` compiles a graph once, over its internal nodes only,
+and decides that test with bit masks, for one assignment (``probe(mask)``)
+or for a whole cardinality layer in member order
+(:meth:`_Membership.scan_layer`), which shares the covering of port nodes
+across assignments.  Both end in one post-cover test, whose O(1) degree cut
 settles dense cores without a matching search.  Where the core is one
 non-bipartite component with each port on its own node, as in Delta_n, every
 assignment with j ports leaves the same number of free nodes, so that cut
@@ -31,7 +32,7 @@ exact on any core, empty where there is no state.  Port-port edges stay out
 of the DP and are folded in after it.  Where every layer of the parity class
 settles, the cell is that class; where the DP's sets outgrow a fixed budget,
 :func:`kekule_cell` falls back to a search over channel moves from the
-assignment of a first state of the cover search, each new assignment decided
+assignment of a first state of :func:`_covers`, each new assignment decided
 by the membership probe.  The channel-decomposition law (any two members are
 joined by disjoint channels whose partial sums are all members) makes that
 search complete.
@@ -106,110 +107,97 @@ def port_assignment(g: Graph, w: EdgeSubset) -> Assignment:
     return Assignment(g.ports, mask)
 
 
+def _covers(g: Graph, ports: int | None = None) -> Iterator[int]:
+    """Edge masks of the Kekulé states, in the order of the search.
+
+    The search numbers the ports, then the internal nodes in ascending
+    (degree, label) order, so small branching factors fail fast; node b has
+    bit b, and each node tries its neighbours in label order.  Without
+    ``ports`` it branches on the internal nodes only, and never selects an
+    edge between two ports; callers own those bits.  With ``ports``, only
+    the states whose port assignment has that bit vector: the other ports
+    start covered, so they take no edge, and the search first gives each
+    port of ``ports`` its one edge.  A port-port edge with one end outside
+    ``ports``, or two ports of ``ports`` on one node, leaves a port without
+    a choice, so such an assignment yields nothing.  Depth-first with an
+    explicit stack, so long chains cannot exhaust the interpreter's
+    recursion limit.
+    """
+    # a stable sort of the label-ordered internal nodes by degree
+    nodes = g.ports + tuple(sorted(g.internal, key=g.degree.__getitem__))
+    bit = {v: 1 << b for b, v in enumerate(nodes)}
+    neighbors = g.neighbors
+    # per node: (edge bit, bit of the other end) per neighbour
+    moves = [[(1 << e, bit[u]) for u, e in neighbors(v)] for v in nodes]
+    n = len(nodes)
+    k = len(g.ports)
+    # (next node, edge mask, covered nodes)
+    stack = [(k, 0, 0) if ports is None else (0, 0, ((1 << k) - 1) & ~ports)]
+    while stack:
+        i, mask, covered = stack.pop()
+        while i < n and covered >> i & 1:
+            i += 1
+        if i == n:
+            yield mask
+            continue
+        me = 1 << i
+        # reversed, so the first candidate is popped (and searched) first
+        stack.extend([(i + 1, mask | edge, covered | me | other)
+                      for edge, other in reversed(moves[i]) if not covered & other])
+
+
 class _Membership:
-    """The compiled form of one graph: its states by a cover search, and
-    the cell-membership probe, over one node numbering.
+    """The compiled cell-membership probe of one graph, over its internal
+    nodes in ascending (degree, label) order: internal node i is bit i.
 
-    ``_nodes`` holds the ports, then the internal nodes in ascending
-    (degree, label) order, the order the cover search branches in; node b
-    has bit b in the cover search.  The probe and the frontier DP shift the
-    ports away, so there internal node i is bit i.
-
-    Called as ``probe(mask)``, the compiled form is True iff some Kekulé
-    state has the port assignment with bit vector ``mask`` (over
-    ``g.ports``): it checks the ports, cuts on per-component parity (and on
-    colour balance where a component is bipartite), then searches for a
-    perfect matching of the free nodes.  ``scan(parity)`` gives the same
-    verdict for every mask of one parity in member order, one
-    ``scan_layer(j)`` per port count j; ``layers(parity)`` names the layers
-    whose masks are all members without probing any of them, and
-    ``realized()`` gives every realized mask at once.
-
-    Each side builds its tables on first use, so a graph whose states are
-    only listed never colours its components, and one only probed never
-    builds the cover search's table.
+    Called as ``probe(mask)``, it is True iff some Kekulé state has the port
+    assignment with bit vector ``mask`` (over ``g.ports``): it checks the
+    ports, cuts on per-component parity (and on colour balance where a
+    component is bipartite), then searches for a perfect matching of the
+    free nodes.  ``scan_layer(j)`` gives the same verdict for every mask
+    with j ports in member order; ``layers(parity)`` names the layers whose
+    masks are all members without probing any of them, and ``realized()``
+    gives every realized mask at once.
     """
 
-    __slots__ = ("_g", "_nodes", "_bit", "_moves", "_adj", "_internal", "_port_node",
-                 "_port_pairs", "_degree_cut", "_components")
+    __slots__ = ("_adj", "_internal", "_port_node", "_port_pairs", "_degree_cut",
+                 "_components")
 
     def __init__(self, g: Graph):
-        self._g = g
-        # a stable sort of the label-ordered internal nodes by degree
-        self._nodes = nodes = g.ports + tuple(sorted(g.internal, key=g.degree.__getitem__))
-        self._bit = {v: 1 << b for b, v in enumerate(nodes)}
-        self._moves: list[list[tuple[int, int]]] | None = None
-        self._components: list[tuple[int, int | None]] | None = None
-
-    def _cover_table(self) -> list[list[tuple[int, int]]]:
-        """Per node of ``_nodes``: (edge bit, bit of the other end) per
-        neighbour, in label order."""
-        if self._moves is None:
-            bit, neighbors = self._bit, self._g.neighbors
-            self._moves = [[(1 << e, bit[u]) for u, e in neighbors(v)] for v in self._nodes]
-        return self._moves
-
-    def covers(self, ports: int | None = None) -> Iterator[int]:
-        """Edge masks of the Kekulé states, in the order of the search.
-
-        Without ``ports`` the search branches on the internal nodes only, and
-        never selects an edge between two ports; callers own those bits.
-        With ``ports``, only the states whose port assignment has that bit
-        vector: the other ports start covered, so they take no edge, and the
-        search first gives each port of ``ports`` its one edge.  A port-port
-        edge with one end outside ``ports``, or two ports of ``ports`` on one
-        node, leaves a port without a choice, so such an assignment yields
-        nothing.  Depth-first with an explicit stack, so long chains cannot
-        exhaust the interpreter's recursion limit.
-        """
-        moves = self._cover_table()
-        n = len(moves)
-        k = len(self._g.ports)
-        # (next node, edge mask, covered nodes)
-        stack = [(k, 0, 0) if ports is None else (0, 0, ((1 << k) - 1) & ~ports)]
-        while stack:
-            i, mask, covered = stack.pop()
-            while i < n and covered >> i & 1:
-                i += 1
-            if i == n:
-                yield mask
-                continue
-            me = 1 << i
-            # reversed, so the first candidate is popped (and searched) first
-            stack.extend([(i + 1, mask | edge, covered | me | other)
-                          for edge, other in reversed(moves[i]) if not covered & other])
-
-    def _probe_tables(self) -> list[tuple[int, int | None]]:
-        """Builds the tables the probe and the frontier DP read, once,
-        and returns the components of the internal nodes: (node mask,
-        colour-1 mask or None when not bipartite) per component."""
-        if self._components is not None:
-            return self._components
-        g, bit = self._g, self._bit
-        k = len(g.ports)
-        # per internal node: its internal neighbours, internal node i as bit i
-        self._adj = adj = []
-        for v in self._nodes[k:]:
+        # a stable sort of the label-ordered internal nodes by degree; a port
+        # has no bit (0), so it drops out of every internal adjacency
+        internal = sorted(g.internal, key=g.degree.__getitem__)
+        bit = dict.fromkeys(g.ports, 0)
+        for i, v in enumerate(internal):
+            bit[v] = 1 << i
+        neighbors = g.neighbors
+        # per internal node: its internal neighbours
+        adj = []
+        for v in internal:
             nbrs = 0
-            for u, _ in g.neighbors(v):
+            for u, _ in neighbors(v):
                 nbrs |= bit[u]
-            adj.append(nbrs >> k)
+            adj.append(nbrs)
+        self._adj = adj
         self._internal = (1 << len(adj)) - 1
         # 2 (minimum internal degree - n), for the degree cut of _completes
         self._degree_cut = 2 * (min(map(int.bit_count, adj), default=0) - len(adj))
-        # per port: the bit of its internal neighbour, 0 when that is a port
-        self._port_node = []
+        # per port: the bit of its neighbour, 0 when that is a port; and each
+        # port-port edge once, from its first port
+        ports = g.ports
+        self._port_node = port_node = []
         self._port_pairs = []
-        for j, p in enumerate(g.ports):
-            (nb, _), = g.neighbors(p)
-            other = bit[nb]
-            self._port_node.append(other >> k)
-            if 1 << j < other < 1 << k:
-                self._port_pairs.append(1 << j | other)
+        for j, p in enumerate(ports):
+            (nb, _), = neighbors(p)
+            node = bit[nb]
+            port_node.append(node)
+            if not node and p < nb:
+                self._port_pairs.append(1 << j | 1 << ports.index(nb))
         # breadth-first by whole layers, the odd ones colour 1: an edge joins
         # two layers at most one apart, so the component is bipartite iff no
-        # edge stays inside a layer
-        out = []
+        # edge stays inside a layer; (node mask, colour-1 mask or None when
+        # not bipartite) per component
+        self._components = components = []
         left = self._internal
         while left:
             comp = layer = left & -left
@@ -228,14 +216,10 @@ class _Membership:
                 odd = not odd
                 if odd:
                     colour |= layer
-            out.append((comp, colour if bipartite else None))
+            components.append((comp, colour if bipartite else None))
             left &= ~comp
-        self._components = out
-        return out
 
     def __call__(self, mask: int) -> bool:
-        if self._components is None:
-            self._probe_tables()
         port_node = self._port_node
         covered = 0
         rest = mask
@@ -248,13 +232,6 @@ class _Membership:
             covered |= node
         return self._completes(mask, covered)
 
-    def scan(self, parity: int) -> Iterator[tuple[int, bool]]:
-        """``(mask, self(mask))`` for every mask over the ports whose
-        cardinality has the given parity, in member order: the layers of
-        :meth:`scan_layer`, fewest ports first."""
-        for j in range(parity, len(self._g.ports) + 1, 2):
-            yield from self.scan_layer(j)
-
     def scan_layer(self, j: int) -> Iterator[tuple[int, bool]]:
         """``(mask, self(mask))`` for every mask with ``j`` ports, in member order.
 
@@ -264,7 +241,6 @@ class _Membership:
         Two ports on one node carry there, and so cover fewer nodes than
         there are ports on internal nodes.
         """
-        self._probe_tables()
         port_node, completes = self._port_node, self._completes
         k = len(port_node)
         low = (1 << k) - 1
@@ -287,8 +263,7 @@ class _Membership:
         parity cut and the degree cut of :meth:`_completes` decide all of
         them alike; with no free node left the empty matching completes.
         """
-        components = self._probe_tables()
-        port_node = self._port_node
+        components, port_node = self._components, self._port_node
         n = len(self._adj)
         # a port-port edge gives both its ports the node 0, so it fails too
         layered = (len(components) == 1 and components[0][1] is None
@@ -325,7 +300,6 @@ class _Membership:
         costs little more here than there, and a chain, at up to four steps
         per node, stays on the DP.
         """
-        self._probe_tables()
         adj = self._adj
         shifts: list[list[int]] = [[] for _ in adj]
         for j, node in enumerate(self._port_node):
@@ -475,14 +449,12 @@ class _Membership:
 def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSubset]:
     """All Kekulé states, ordered by edge bit vector."""
     _check_scale(g, allow_large)
-    compiled = _Membership(g)
-    k = len(g.ports)
-    # each port-port edge once: port j's edge to a port after it
-    free = [edge for j, ((edge, other),) in enumerate(compiled._cover_table()[:k])
-            if 1 << j < other < 1 << k]
+    degree = g.degree
+    # each port-port edge once: a port's edge to a port after it
+    free = [1 << e for p in g.ports for nb, e in g.neighbors(p) if p < nb and degree[nb] == 1]
     _check_port_pairs(len(free), allow_large)
     extras = list(gf2.span(free))
-    masks = sorted(base | extra for base in compiled.covers() for extra in extras)
+    masks = sorted(base | extra for base in _covers(g) for extra in extras)
     return [EdgeSubset(g, m) for m in masks]
 
 
@@ -502,7 +474,7 @@ def kekule_states_for(g: Graph, a: Assignment, allow_large: bool = False) -> lis
     """
     _require_graph_assignment(g, a)
     _check_scale(g, allow_large)
-    masks = sorted(_Membership(g).covers(a.mask))
+    masks = sorted(_covers(g, a.mask))
     return [EdgeSubset(g, m) for m in masks]
 
 
@@ -524,7 +496,7 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     Otherwise it comes from the frontier DP (:meth:`_Membership.realized`),
     which gives the empty cell of a graph without a state as well.  Past the
     DP's budget it is :func:`~kekulec.cells.closure` of the assignment of a
-    first state, found by the cover search, under channel moves, each new
+    first state, found by :func:`_covers`, under channel moves, each new
     assignment one channel toggle away from a member and probed once.  By
     the channel-decomposition law any two members are joined by disjoint
     channels whose partial sums are all members, so that search reaches the
@@ -536,16 +508,16 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     ports = g.ports
     k = len(ports)
     parity = signature(g)
-    probe = _Membership(g)
     if k < 2:
         # the one mask of the class is the parity; with no port an odd one has none
-        member = parity <= k and probe(parity)
+        member = parity <= k and _Membership(g)(parity)
         return Cell(ports, frozenset((parity,)) if member else frozenset())
+    probe = _Membership(g)
     if all(settled for _, settled in probe.layers(parity)):
         return parity_space(ports, parity)
     realized = probe.realized()
     if realized is None:
-        start = next(probe.covers(), None)
+        start = next(_covers(g), None)
         if start is None:
             return Cell(ports, frozenset())
         # past 24 port-port edges their fold alone passes the DP's budget,
@@ -644,7 +616,7 @@ def alternating_path(g: Graph, w: EdgeSubset, p: str, q: str) -> EdgeSubset | No
     if not is_kekule_state(g, w):
         raise KekulecError("alternating_path requires a Kekulé state")
     target = port_assignment(g, w) ^ channel(g.ports, p, q)
-    mask = next(_Membership(g).covers(target.mask), None)
+    mask = next(_covers(g, target.mask), None)
     if mask is None:
         return None
     diff = w ^ EdgeSubset(g, mask)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from kekulec import (Assignment, Cell, CellError, channel,
                      channel_decomposition, diameter, flex, flexible_ports,
                      hamming, is_open, parity_space, translate)
-from kekulec.cells import closure, ordered_masks
+from kekulec.cells import closure, layer_masks, ordered_masks
 
 PORTS4 = ("a", "b", "c", "d")
 
@@ -186,7 +186,9 @@ def test_ordered_masks_sums_given_values_in_member_order(n):
     for parity in (None, 0, 1):
         want = [sum(v for i, v in enumerate(values) if m >> i & 1)
                 for m in ordered_masks(n, parity)]
-        assert list(ordered_masks(n, parity, values)) == want
+        got = [total for k in range(parity or 0, n + 1, 1 if parity is None else 2)
+               for total in layer_masks(n, k, values)]
+        assert got == want
 
 
 def test_members_order_is_sort_key_order():

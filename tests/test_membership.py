@@ -81,9 +81,7 @@ def test_probe_agrees_on_hex_patches(m, n, ports, seed):
 
 
 def test_probe_agrees_with_port_port_edges():
-    probe = _Membership(PORT_PAIR_GRAPH)
-    probe._probe_tables()
-    assert len(probe._port_pairs) == 1
+    assert len(_Membership(PORT_PAIR_GRAPH)._port_pairs) == 1
     assert_probe_agrees(PORT_PAIR_GRAPH)
 
 
@@ -143,6 +141,20 @@ def test_one_compile_per_cell_and_count(g, monkeypatch):
         compiled.clear()
         count(g)
         assert compiled == [g], count.__name__
+
+
+def test_state_searches_compile_no_probe(monkeypatch):
+    # the cover search numbers its own nodes; the probe's tables are built
+    # only where a probe or the DP follows, and a portless graph with an odd
+    # signature, such as the triangle, has an empty cell without one
+    compiled = count_calls(monkeypatch, "__init__")
+    for g in (make_A(6), PORT_PAIR_GRAPH, hex_patch(2, 2, 4, random.Random(1))):
+        w = enumerate_kekule_states(g)[0]
+        assert kekule_states_for(g, port_assignment(g, w))
+        kekule.alternating_path(g, w, *g.ports[:2])
+    triangle = Graph([("a", "b"), ("b", "c"), ("a", "c")])
+    assert signature(triangle) == 1 and kekule_cell(triangle).masks == frozenset()
+    assert compiled == {"__init__": 0}
 
 
 def test_cell_refuses_too_many_port_pairs():
@@ -207,7 +219,7 @@ def channel_moves(k):
 def start_of(g):
     """The first state of the cover search, where the probe closure that
     ``kekule_cell`` falls back to starts, and its port assignment."""
-    state = next(_Membership(g).covers())
+    state = next(kekule._covers(g))
     return state, port_assignment(g, EdgeSubset(g, state)).mask
 
 
@@ -219,8 +231,9 @@ def probe_cell(g):
 
 
 def internal_order(g):
-    """The internal nodes in the compiled form's numbering."""
-    return _Membership(g)._nodes[len(g.ports):]
+    """The internal nodes in the compiled form's numbering: a stable sort
+    of the label-ordered internal nodes by degree."""
+    return sorted(g.internal, key=g.degree.__getitem__)
 
 
 def dp_cell(g):
@@ -257,7 +270,7 @@ def assert_routes_agree(g, enumerable=True):
 def test_routes_agree_on_the_atlas():
     dp = 0
     for g in atlas_graphs():
-        if next(_Membership(g).covers(), None) is None:
+        if next(kekule._covers(g), None) is None:
             assert kekule_cell(g).masks == frozenset() == dp_cell(g)
             continue
         assert_routes_agree(g)
@@ -322,7 +335,7 @@ def test_random_bipartite_cores_with_crowded_ports():
             continue
         edges |= {(f"p{i:02d}", rng.choice(nodes)) for i in range(rng.randint(2, 7))}
         g = Graph(sorted(edges))
-        if next(_Membership(g).covers(), None) is None:
+        if next(kekule._covers(g), None) is None:
             assert dp_cell(g) == set()
             continue
         assert_routes_agree(g)
@@ -361,7 +374,7 @@ def test_mixed_components():
 
 
 def test_no_start_state_no_route(no_state_graph):
-    assert next(_Membership(no_state_graph).covers(), None) is None
+    assert next(kekule._covers(no_state_graph), None) is None
     assert kekule_cell(no_state_graph).masks == frozenset()
     probe = _Membership(no_state_graph)
     assert not any(probe(mask) for mask in range(1 << len(no_state_graph.ports)))
@@ -374,7 +387,7 @@ def test_dp_on_dense_cores_with_shared_and_paired_ports():
     for i in range(200):
         edges = dense_core_with_ports(rng, port_pair=i % 2 == 1)
         g = Graph(edges)
-        if next(_Membership(g).covers(), None) is None:
+        if next(kekule._covers(g), None) is None:
             assert dp_cell(g) == set()
             continue
         cell = assert_routes_agree(g)
@@ -394,7 +407,7 @@ def test_dp_on_random_non_bipartite_graphs():
         if nx.is_bipartite(core):
             continue
         odd += 1
-        if next(_Membership(g).covers(), None) is None:
+        if next(kekule._covers(g), None) is None:
             assert dp_cell(g) == set()
             continue
         cell = assert_routes_agree(g)
@@ -597,7 +610,6 @@ def free_mask_matchable(g, free):
 def assert_matchable_agrees(g):
     """``_matchable`` on every even set of free internal nodes."""
     probe = _Membership(g)
-    probe._probe_tables()
     for free in range(1 << len(g.internal)):
         if free.bit_count() % 2 == 0:
             assert probe._matchable(free) == free_mask_matchable(g, free), (g.edges, free)
@@ -620,7 +632,6 @@ def test_min_degree_cut_on_named_cores():
         g = Graph(edges)
         assert g.ports == ()
         probe = _Membership(g)
-        probe._probe_tables()
         assert probe._matchable((1 << len(g.internal)) - 1) is want, edges
         assert_matchable_agrees(g)
 
@@ -688,13 +699,21 @@ def test_counts_agree_on_families(g):
 
 # -- the parity-class scan --------------------------------------------------------
 
+def scan(g, parity):
+    """``(mask, verdict)`` over the parity class of ``g`` in member order:
+    ``scan_layer`` for each layer, fewest ports first."""
+    probe = _Membership(g)
+    return [hit for j in range(parity, len(g.ports) + 1, 2) for hit in probe.scan_layer(j)]
+
+
 def assert_scan_agrees(g, edges=None):
-    """``scan`` yields the masks of ``ordered_masks`` with the probe's verdict,
-    for both parities; with ``edges``, also the oracle's cell."""
+    """``scan_layer`` yields the masks of ``ordered_masks`` with the probe's
+    verdict, layer by layer over both parities; with ``edges``, also the
+    oracle's cell."""
     probe = _Membership(g)
     realized = set()
     for parity in (0, 1):
-        scanned = list(_Membership(g).scan(parity))
+        scanned = scan(g, parity)
         assert [m for m, _ in scanned] == list(ordered_masks(len(g.ports), parity))
         for mask, verdict in scanned:
             assert verdict == probe(mask), (g.edges, mask)
@@ -735,7 +754,6 @@ def test_scan_agrees_on_dense_cores_with_shared_and_paired_ports():
         edges = dense_core_with_ports(rng, port_pair=i % 2 == 1)
         g = Graph(edges)
         probe = _Membership(g)
-        probe._probe_tables()
         shared += len(set(probe._port_node)) < len(g.ports)
         paired += bool(probe._port_pairs)
         assert_scan_agrees(g, edges if len(edges) <= 13 else None)
@@ -770,7 +788,6 @@ def dense_free_sets(draw):
              if (i, j) not in missing and (j, i) not in missing]
     g = Graph(edges)
     probe = _Membership(g)
-    probe._probe_tables()
     m = len(g.internal)
     least = max(0, -probe._degree_cut)
     size = draw(st.sampled_from(range(least + least % 2, m + 1, 2) or [m - m % 2]))
@@ -814,14 +831,14 @@ def assert_layers_agree(g):
         for j in settled_layers(g, parity):
             assert all(probe(mask) for mask in range(1 << k)
                        if mask.bit_count() == j), (g.edges, parity, j)
-    scanned = list(_Membership(g).scan(signature(g)))
+    scanned = scan(g, signature(g))
     missing = [mask for mask, realized in scanned if not realized]
     if 2 <= k <= 20:
         verdict = is_omniconjugated(g)
         assert verdict.omniconjugated == (not missing), g.edges
         assert verdict.witness == (Assignment(g.ports, missing[0]) if missing else None)
     assert realized_assignment_count(g) == len(scanned) - len(missing), g.edges
-    realized = {mask for parity in (0, 1) for mask, ok in _Membership(g).scan(parity) if ok}
+    realized = {mask for parity in (0, 1) for mask, ok in scan(g, parity) if ok}
     assert kekule_cell(g, allow_large=True).masks == realized, g.edges
     return settled_layers(g)
 
@@ -847,7 +864,6 @@ def test_shared_or_paired_ports_never_settle():
     for i in range(200):
         g = Graph(dense_core_with_ports(rng, port_pair=i % 2 == 1))
         probe = _Membership(g)
-        probe._probe_tables()
         if probe._port_pairs or len(set(probe._port_node)) < len(g.ports):
             assert not any(settled_layers(g, parity) for parity in (0, 1)), g.edges
             crowded += 1
@@ -877,16 +893,18 @@ def test_layers_agree_on_delta(n):
 
 
 def count_calls(monkeypatch, *names):
-    """Counts of calls to the named ``_Membership`` methods, by name."""
+    """Counts of calls to the named ``_Membership`` methods, or else
+    ``kekule`` module functions, by name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        real = getattr(_Membership, name)
+        owner = _Membership if hasattr(_Membership, name) else kekule
+        real = getattr(owner, name)
 
-        def counted(self, *args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name):
             calls[_name] += 1
-            return _real(self, *args)
+            return _real(*args)
 
-        monkeypatch.setattr(_Membership, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -941,9 +959,10 @@ def test_pendant_core_law_on_settled_layers():
 
 @pytest.fixture()
 def route_calls(monkeypatch):
-    """Counts of the ``_Membership`` calls that take a cell's route, by name,
-    and of the ``realized()`` calls that gave up (returned None)."""
-    calls = count_calls(monkeypatch, "__call__", "covers", "realized")
+    """Counts of the ``_Membership`` and ``kekule._covers`` calls that take a
+    cell's route, by name, and of the ``realized()`` calls that gave up
+    (returned None)."""
+    calls = count_calls(monkeypatch, "__call__", "_covers", "realized")
     calls["gave_up"] = 0
     counted = _Membership.realized
 
@@ -999,7 +1018,7 @@ def test_named_cells_and_their_routes(edges, masks, route_calls):
     # port with an odd parity leaves the class empty; from two ports on, the
     # DP gives every cell here, the empty ones included
     probes = int(signature(g) <= k) if k < 2 else 0
-    assert route_calls == {"__call__": probes, "covers": 0, "realized": int(k >= 2),
+    assert route_calls == {"__call__": probes, "_covers": 0, "realized": int(k >= 2),
                            "gave_up": 0}
 
 
@@ -1012,11 +1031,11 @@ def test_cover_search_only_behind_the_fallback(route_calls):
         for name in route_calls:
             route_calls[name] = 0
         kekule_cell(g, allow_large=True)
-        assert route_calls["covers"] == route_calls["gave_up"] <= 1, g.edges
+        assert route_calls["_covers"] == route_calls["gave_up"] <= 1, g.edges
         if len(g.ports) < 2:
             assert route_calls["__call__"] == int(signature(g) <= len(g.ports)), g.edges
             assert route_calls["realized"] == 0
-        fallbacks += route_calls["covers"]
+        fallbacks += route_calls["_covers"]
     assert fallbacks == 2
 
 
