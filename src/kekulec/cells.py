@@ -121,11 +121,10 @@ def layer_masks(n: int, k: int, values: Sequence[int] | None = None) -> Iterator
 
 
 def closure(start: int, moves: Sequence[int],
-            accept: Callable[[int, int], bool]) -> frozenset[int]:
+            accept: Callable[[int], bool]) -> frozenset[int]:
     """Masks reachable from ``start`` by toggling ``moves`` through accepted
-    masks, breadth-first.  Each candidate goes to ``accept(parent, candidate)``
-    once, ``start`` never; parents are expanded in the order they were
-    accepted, ``start`` first."""
+    masks, breadth-first.  Each candidate goes to ``accept(candidate)`` once,
+    ``start`` never."""
     seen = {start}
     reached = [start]
     for mask in reached:  # grows while it is walked: breadth-first
@@ -133,7 +132,7 @@ def closure(start: int, moves: Sequence[int],
             other = mask ^ move
             if other not in seen:
                 seen.add(other)
-                if accept(mask, other):
+                if accept(other):
                     reached.append(other)
     return frozenset(reached)
 

@@ -24,27 +24,26 @@ its assignments are never probed one by one.
 The cell itself needs no enumeration, and no first state either.  By the
 parity law every state touches as many ports, mod 2, as there are internal
 nodes, so the cell lies in the parity class of
-:func:`~kekulec.graph.signature`; below two ports that class holds at most
-one mask, and one probe decides it.  :meth:`_Membership.realized` runs a
-frontier (transfer-matrix) DP over the internal nodes whose values are sets
-of port masks, one int bitset each, and so gives the whole cell in one pass,
-exact on any core, empty where there is no state.  Port-port edges stay out
-of the DP and are folded in after it.  Where every layer of the parity class
-settles, the cell is that class; where the DP's sets outgrow a fixed budget,
-:func:`kekule_cell` falls back to a search over channel moves from the
-assignment of a first state of :func:`_covers`, each new assignment decided
-by the membership probe.  The channel-decomposition law (any two members are
-joined by disjoint channels whose partial sums are all members) makes that
-search complete.
+:func:`~kekulec.graph.signature`.  One route, :func:`_realized`, gives the
+cell as one int bitset, and :func:`kekule_cell` and
+:func:`~kekulec.omni.realized_assignment_count` read it.  Below two ports
+the class holds at most one mask, and one probe decides it.  Where no
+layer of the class settles, :meth:`_Membership.realized` runs a frontier
+(transfer-matrix) DP over the internal nodes whose values are sets of port
+masks, one int bitset each, and so gives the whole cell in one pass, exact
+on any core, empty where there is no state.  Port-port edges stay out of the
+DP and are folded in after it.  Where some layer settles, or the DP's sets
+outgrow a fixed budget or its steps would pass what the probes cost, the
+cell is the class less what one compiled scan of the open layers finds
+missing, each mask probed at most once.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator
 
 from . import gf2
-from .cells import Assignment, Cell, channel, closure, layer_masks, parity_space
+from .cells import Assignment, Cell, channel, layer_masks
 from .errors import KekulecError
 from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve, signature
 
@@ -64,13 +63,6 @@ def _check_scale(g: Graph, allow_large: bool) -> None:
     if r > _RANK_CAP:
         raise KekulecError(
             f"state count bound 2^{r} exceeds 2^{_RANK_CAP}; {_OVERRIDE}")
-
-
-def _closure_probes(k: int) -> int:
-    """The probes the channel-move closure of :func:`kekule_cell` makes at
-    most for k ports: C(k, 2) moves from each of the 2^(k-1) masks of the
-    parity class."""
-    return comb(k, 2) << k >> 1
 
 
 def _check_port_pairs(count: int, allow_large: bool) -> None:
@@ -292,8 +284,8 @@ class _Membership:
         mask so far, plus one), its key (one bit per internal node) and about
         128 bytes of dictionary entry and int headers, and is checked as the
         states of a step are made.  The DP also gives up once its steps, one
-        per state and candidate partner, pass what the probe closure of
-        :func:`kekule_cell` could cost: at most 2^(k-1) C(k, 2) probes for k
+        per state and candidate partner, pass what the scan of the parity
+        class that :func:`_realized` falls back to costs: 2^(k-1) probes for k
         ports, each priced at 4n steps over n internal nodes, as its matching
         search visits each free node a few times, plus one step per state the
         budget holds at its overhead alone.  So a wide frontier with few ports
@@ -309,7 +301,7 @@ class _Membership:
             return None  # the final set alone would pass the budget
         n, k = len(adj), len(self._port_node)
         overhead = n + 1024
-        steps = _DP_BITS // overhead + 4 * n * _closure_probes(k)
+        steps = _DP_BITS // overhead + (4 * n << k >> 1)
         states = {0: 1}
         done = 0
         reach = 0  # the largest mask so far: the sets hold at most reach + 1 bits
@@ -485,58 +477,71 @@ def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
     return _Membership(g)(a.mask)
 
 
-def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
-    """The set of port assignments realized by some Kekulé state.
+def _realized(g: Graph, allow_large: bool) -> int:
+    """The cell of ``g`` as one int, bit m set iff some Kekulé state has the
+    port assignment with bit vector m over ``g.ports``.
 
     Every state touches as many ports, mod 2, as there are internal nodes,
     so the cell lies in the parity class of :func:`~kekulec.graph.signature`.
     Below two ports that class holds at most one mask, decided by one probe
-    of :class:`_Membership`.  Where every cardinality layer of the class
-    settles (:meth:`_Membership.layers`), the cell is the whole class.
-    Otherwise it comes from the frontier DP (:meth:`_Membership.realized`),
-    which gives the empty cell of a graph without a state as well.  Past the
-    DP's budget it is :func:`~kekulec.cells.closure` of the assignment of a
-    first state, found by :func:`_covers`, under channel moves, each new
-    assignment one channel toggle away from a member and probed once.  By
-    the channel-decomposition law any two members are joined by disjoint
-    channels whose partial sums are all members, so that search reaches the
-    whole cell, at about |cell| x k^2 probes for k ports; without
-    ``allow_large`` it is refused where its worst case, 2^(k-1) C(k, 2)
-    probes, passes 2^24.
+    of :class:`_Membership`.  Where no cardinality layer of the class settles
+    (:meth:`_Membership.layers`), the cell comes from the frontier DP
+    (:meth:`_Membership.realized`), which gives the empty cell of a graph
+    without a state as well.  Otherwise, and past the DP's budget, it is the
+    class less the masks that one compiled scan of the open layers
+    (:meth:`_Membership.scan_layer`) finds missing: at most the 2^(k-1)
+    masks of the class for k ports, each probed once, and none where every
+    layer settles.  Without ``allow_large`` a scan is refused where that
+    bound passes 2^24 probes.
     """
-    _check_scale(g, allow_large)
-    ports = g.ports
-    k = len(ports)
+    k = len(g.ports)
     parity = signature(g)
     if k < 2:
         # the one mask of the class is the parity; with no port an odd one has none
-        member = parity <= k and _Membership(g)(parity)
-        return Cell(ports, frozenset((parity,)) if member else frozenset())
+        return 1 << parity if parity <= k and _Membership(g)(parity) else 0
     probe = _Membership(g)
-    if all(settled for _, settled in probe.layers(parity)):
-        return parity_space(ports, parity)
-    realized = probe.realized()
-    if realized is None:
-        start = next(_covers(g), None)
-        if start is None:
-            return Cell(ports, frozenset())
-        # past 24 port-port edges their fold alone passes the DP's budget,
-        # so a graph refused here has never run the DP
+    layers = list(probe.layers(parity))
+    open_layers = [j for j, settled in layers if not settled]
+    if len(open_layers) == len(layers):
+        realized = probe.realized()
+        if realized is not None:
+            return realized
+        # past 24 port-port edges their fold alone passes the DP's budget, so
+        # a graph refused here has never run the DP
         _check_port_pairs(len(probe._port_pairs), allow_large)
-        if _closure_probes(k) > 1 << _RANK_CAP and not allow_large:
-            raise KekulecError(f"cell search bound 2^{k - 1} C({k}, 2) probes exceeds "
-                               f"2^{_RANK_CAP}; {_OVERRIDE}")
-        member = port_assignment(g, EdgeSubset(g, start)).mask
-        moves = [1 << i | 1 << j for j in range(k) for i in range(j)]
-        return Cell(ports, closure(member, moves, lambda _, mask: probe(mask)))
+    if open_layers and k - 1 > _RANK_CAP and not allow_large:
+        raise KekulecError(f"cell search bound 2^{k - 1} probes exceeds 2^{_RANK_CAP}; "
+                           f"{_OVERRIDE}")
+    # the class, doubled one port at a time: the masks with port i are those
+    # without it, moved up by 2^i, from the class of the other parity
+    even, odd = 1, 0
+    for i in range(k):
+        even, odd = even | odd << (1 << i), odd | even << (1 << i)
+    realized = odd if parity else even
+    if not open_layers:
+        return realized
+    bits = bytearray(realized.to_bytes(((1 << k) + 7) >> 3, "little"))
+    for j in open_layers:
+        for mask, member in probe.scan_layer(j):
+            if not member:
+                bits[mask >> 3] &= ~(1 << (mask & 7))
+    return int.from_bytes(bits, "little")
+
+
+def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
+    """The set of port assignments realized by some Kekulé state, as
+    :func:`_realized` finds it; refused without ``allow_large`` where the
+    state count bound, the free port-port edges' span or the scan's price
+    passes 2^24."""
+    _check_scale(g, allow_large)
     # bit m of the set is mask m: read the set bits off its binary digits
-    digits = bin(realized)[:1:-1]
+    digits = bin(_realized(g, allow_large))[:1:-1]
     masks = []
     m = digits.find("1")
     while m >= 0:
         masks.append(m)
         m = digits.find("1", m + 1)
-    return Cell(ports, frozenset(masks))
+    return Cell(g.ports, frozenset(masks))
 
 
 # -- alternating curves -------------------------------------------------------

@@ -11,22 +11,20 @@ gives a Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3)
 every layer settles and no assignment is probed.  An unsettled layer is
 decided mask by mask in one compiled scan (``_Membership.scan_layer``), which
 covers each mask's port nodes with one sum of packed per-port values.
-:func:`realized_assignment_count` adds the size of each settled layer to
-the verdicts of the scanned ones where a layer settles; where none does, it
-counts the masks of the frontier DP (``_Membership.realized``) instead,
-unless that DP outgrows its budget.
+:func:`realized_assignment_count` is the size of the Kekulé cell, read off
+the one bitset that :func:`~kekulec.kekule.kekule_cell` decodes
+(``kekule._realized``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .cells import Assignment
 from .errors import KekulecError
 from .graph import Graph, signature
-from .kekule import _Membership
+from .kekule import _Membership, _realized
 from .transform import add_internal_edge
 
 _PORT_CAP = 20
@@ -62,24 +60,12 @@ def is_omniconjugated(g: Graph) -> OmniVerdict:
 
 
 def realized_assignment_count(g: Graph) -> int:
-    """Number of port assignments with at least one Kekulé state.
-
-    Where a layer of the parity class settles, C(k, j) for each settled
-    layer of j of the k ports, plus the verdicts of one compiled scan of
-    the other layers.  Where none settles, the number of masks the frontier
-    DP realizes; past the DP's budget, the scan of every layer.
-    """
+    """Number of port assignments with at least one Kekulé state: the size
+    of the Kekulé cell, by the route of :func:`~kekulec.kekule.kekule_cell`.
+    The port cap holds its fallback scan to 2^19 probes."""
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"assignment count capped at {_PORT_CAP} ports")
-    probe = _Membership(g)
-    layers = list(probe.layers(signature(g)))
-    if not any(settled for _, settled in layers):
-        realized = probe.realized()
-        if realized is not None:
-            return realized.bit_count()
-    k = len(g.ports)
-    return sum(comb(k, j) if settled else sum(realized for _, realized in probe.scan_layer(j))
-               for j, settled in layers)
+    return _realized(g, True).bit_count()
 
 
 def make_A(n: int) -> Graph:

@@ -122,7 +122,7 @@ class FunctionalCell:
     def reachable_states(self) -> tuple[Assignment, ...]:
         """Closure of the initial state under declared-channel toggles."""
         chans = [c.mask for _, c in sorted(self.channels.items())]
-        reached = closure(self.initial.mask, chans, lambda _, m: m in self.cell.masks)
+        reached = closure(self.initial.mask, chans, self.cell.masks.__contains__)
         return Cell(self.cell.ports, reached).members()
 
     def snapshot(self) -> "FunctionalCell":

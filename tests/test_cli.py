@@ -148,13 +148,14 @@ def test_scale_refusal_names_the_cli_flag(graph_file, capsys):
 
 def test_cell_refuses_a_caterpillar_past_the_dp_budget(graph_file, capsys):
     # a 13-node path with two pendant ports on each node: cycle rank 0, but
-    # the probe closure for its 26 ports could take 2^25 C(26, 2) probes
+    # the DP gives up, and the scan of the parity class of its 26 ports would
+    # take 2^25 probes
     edges = ([[f"s{i:02d}", f"s{i + 1:02d}"] for i in range(12)]
              + [[f"p{i:02d}{side}", f"s{i:02d}"] for i in range(13) for side in "ab"])
     path = graph_file("caterpillar13", text=json.dumps({"edges": edges}))
     code, out, err = run(capsys, "cell", path)
     assert (code, out) == (1, "")
-    assert err == ("error: cell search bound 2^25 C(26, 2) probes exceeds 2^24; pass "
+    assert err == ("error: cell search bound 2^25 probes exceeds 2^24; pass "
                    "allow_large=True, or --allow-large where the command has it, to override\n")
 
 

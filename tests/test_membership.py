@@ -1,14 +1,14 @@
 """The compiled membership probe and the frontier DP against the state
-search they replace, and against the closure over probes.
+search they replace, and against a closure over probes.
 
 ``_Membership(g)(mask)`` decides cell membership by a matching search on the
 internal nodes; ``kekule_states_for`` enumerates the states of the assignment
 by backtracking.  Both must agree on every mask, of either parity.
 ``kekule_cell`` takes its parity class from ``signature(g)``, decides a class
-of one mask by one probe, and otherwise takes its cell from the settled
-layers, the frontier DP (``_Membership.realized``) or, past the DP's budget,
-channel moves from one state; every route must find exactly the assignments
-of the enumerated states.
+of one mask by one probe, and otherwise takes its cell from the frontier DP
+(``_Membership.realized``) or from the settled layers and a scan of the open
+ones, which is also the fallback past the DP's budget; every route must find
+exactly the assignments of the enumerated states.
 """
 
 import random
@@ -216,18 +216,13 @@ def channel_moves(k):
     return [1 << i | 1 << j for j in range(k) for i in range(j)]
 
 
-def start_of(g):
-    """The first state of the cover search, where the probe closure that
-    ``kekule_cell`` falls back to starts, and its port assignment."""
-    state = next(kekule._covers(g))
-    return state, port_assignment(g, EdgeSubset(g, state)).mask
-
-
 def probe_cell(g):
-    """The cell by the closure over ``_Membership`` probes."""
-    _, member = start_of(g)
-    probe = _Membership(g)
-    return closure(member, channel_moves(len(g.ports)), lambda _, mask: probe(mask))
+    """The cell by a route of its own: the closure over ``_Membership`` probes
+    under channel moves from the assignment of the cover search's first
+    state, complete by the channel-decomposition law."""
+    state = next(kekule._covers(g))
+    member = port_assignment(g, EdgeSubset(g, state)).mask
+    return closure(member, channel_moves(len(g.ports)), _Membership(g))
 
 
 def internal_order(g):
@@ -523,7 +518,8 @@ def traced_realized(g):
 def test_dense_core_past_the_budget_falls_back_to_the_probe_closure():
     # 24 nodes at density 0.5, 14 ports, two of them on one node: the
     # frontier outgrows the budget, which is checked while a step's states
-    # are made, so the old and new states stay within twice its 8 MB
+    # are made, so the old and new states stay within twice its 8 MB; the
+    # cell then comes from the scan
     rng = random.Random(3)
     core = [e for e in complete([f"v{i:02d}" for i in range(24)]) if rng.random() < 0.5]
     spots = rng.sample(range(24), 13)
@@ -552,8 +548,8 @@ def grid_with_ports(width, height, ports):
 @pytest.mark.parametrize("m", [24, 30])
 def test_dense_bipartite_core_with_two_ports_gives_up_early(m):
     # the frontier of K_{m,m} would reach millions of states; with two ports
-    # the probe closure needs at most two probes, so the DP stops within the
-    # steps the budget holds states and leaves the cell to the probes
+    # the scan needs two probes, so the DP stops within the steps the budget
+    # holds states and leaves the cell to the probes
     for ports, masks in ((("a00", "a01"), {0b00}), (("a00", "b00"), {0b00, 0b11})):
         g = complete_bipartite(m, ports)
         realized, peak = traced_realized(g)
@@ -573,19 +569,23 @@ def test_a_step_that_multiplies_the_states_stops_within_the_budget():
     assert kekule_cell(g, allow_large=True).masks == {0}
 
 
-def test_wide_grid_with_few_ports_gives_up_early():
+def test_wide_grid_with_few_ports_gives_up_early(monkeypatch):
     # a 12-wide grid keeps a few thousand frontier states over 480 steps:
-    # within the bit budget, but more steps than the six members of its cell
-    # cost as probes
+    # within the bit budget, but more steps than the 2^3 masks of its parity
+    # class cost as probes; the scan probes each of them at most once and
+    # needs no first state
     g = grid_with_ports(12, 40, 4)
     assert _Membership(g).realized() is None
+    calls = count_calls(monkeypatch, "_covers", "_completes")
+    assert len(kekule_cell(g, allow_large=True)) == 6
+    assert calls["_covers"] == 0 and calls["_completes"] <= 8
     assert len(assert_routes_agree(g, enumerable=False)) == 6
     assert realized_assignment_count(g) == 6
 
 
 def test_port_pair_fold_past_the_budget_falls_back(monkeypatch):
     # with a budget of 2^8 bits, the span of three port pairs (64 masks)
-    # fits, and that of five (1024) falls back to the probe closure
+    # fits, and that of five (1024) falls back to the scan
     monkeypatch.setattr(kekule, "_DP_BITS", 1 << 8)
     for pairs, fits in ((3, True), (5, False)):
         g = Graph([(f"p{i}a", f"p{i}b") for i in range(pairs)])
@@ -988,6 +988,19 @@ def test_cell_agrees_with_the_oracle_on_small_atlas_graphs():
         assert kekule_cell(g).masks == oracle_masks(g), g.edges
 
 
+def test_scan_fallback_agrees_with_the_oracle_on_small_atlas_graphs(monkeypatch, route_calls):
+    # with no budget every DP gives up at once, so every graph with two
+    # ports or more whose parity class does not settle takes the scan
+    monkeypatch.setattr(kekule, "_DP_BITS", 0)
+    for g in atlas_graphs(max_edges=10):
+        cell = kekule_cell(g)
+        assert cell.masks == oracle_masks(g), g.edges
+        assert realized_assignment_count(g) == len(cell), g.edges
+    assert route_calls["_covers"] == 0
+    # some 180 graphs, each scanned once for its cell and once for its count
+    assert route_calls["gave_up"] == route_calls["realized"] >= 300
+
+
 SQUARE = [("w", "x"), ("x", "y"), ("y", "z"), ("w", "z")]
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
 # the two-port graph of the ``no_state_graph`` fixture: two pendant triangles
@@ -1022,40 +1035,53 @@ def test_named_cells_and_their_routes(edges, masks, route_calls):
                            "gave_up": 0}
 
 
-def test_cover_search_only_behind_the_fallback(route_calls):
+def test_cell_route_makes_no_cover_search(route_calls):
     graphs = [*atlas_graphs(), make_delta(6), make_A(40), caterpillar(8),
               hex_patch(4, 4, 10, random.Random(2)),
               complete_bipartite(24, ("a00", "a01")), complete_bipartite(24, ("a00", "b00"))]
-    fallbacks = 0
+    gave_up = 0
     for g in graphs:
         for name in route_calls:
             route_calls[name] = 0
         kekule_cell(g, allow_large=True)
-        assert route_calls["_covers"] == route_calls["gave_up"] <= 1, g.edges
+        assert route_calls["_covers"] == 0 and route_calls["gave_up"] <= 1, g.edges
         if len(g.ports) < 2:
             assert route_calls["__call__"] == int(signature(g) <= len(g.ports)), g.edges
             assert route_calls["realized"] == 0
-        fallbacks += route_calls["_covers"]
-    assert fallbacks == 2
+        gave_up += route_calls["gave_up"]
+    assert gave_up == 2
 
 
 def test_caterpillar_past_the_dp_budget_is_refused():
-    # cycle rank 0, so only the price of the probe closure can refuse it: the
-    # DP gives up on 26 ports, and the closure could take 2^25 C(26, 2) probes
+    # cycle rank 0, so only the price of the scan can refuse it: the DP
+    # gives up on 26 ports, and the scan of its parity class would take 2^25
+    # probes
     g = caterpillar(13)
     start = time.perf_counter()
-    with pytest.raises(KekulecError, match=r"^cell search bound 2\^25 C\(26, 2\) probes "
+    with pytest.raises(KekulecError, match=r"^cell search bound 2\^25 probes "
                                            r"exceeds 2\^24; pass allow_large=True"):
         kekule_cell(g)
     assert time.perf_counter() - start < 1
     assert _Membership(g).realized() is None
 
 
-def test_closure_price_admits_up_to_seventeen_ports(monkeypatch):
+def test_scan_price_admits_up_to_twenty_five_ports(monkeypatch):
     # with a budget of 2^8 bits the DP gives up on every caterpillar below;
-    # 2^15 C(16, 2) probes are within 2^24, and 2^17 C(18, 2) are not
+    # a scan of 2^24 probes is admitted, one of 2^25 is not
     monkeypatch.setattr(kekule, "_DP_BITS", 1 << 8)
-    assert kekule._closure_probes(17) <= 1 << 24 < kekule._closure_probes(18)
     assert len(kekule_cell(caterpillar(8))) == caterpillar_cell_size(8)
-    with pytest.raises(KekulecError, match=r"2\^17 C\(18, 2\) probes"):
-        kekule_cell(caterpillar(9))
+
+    class Admitted(Exception):
+        pass
+
+    def scan_layer(self, j):
+        raise Admitted
+
+    monkeypatch.setattr(_Membership, "scan_layer", scan_layer)
+    # 25 ports: caterpillar(12) with a third port on its first node
+    g = Graph(list(caterpillar(12).edges) + [("p00c", "s00")])
+    assert len(g.ports) == 25
+    with pytest.raises(Admitted):
+        kekule_cell(g)
+    with pytest.raises(KekulecError, match=r"2\^25 probes"):
+        kekule_cell(caterpillar(13))
