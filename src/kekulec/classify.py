@@ -5,6 +5,11 @@ extra Even-class family on exactly three ports); diameter-4 cells on four
 ports fall into six classes up to port permutation and translation, each
 realized by a two-path template with cross edges.  Every positive answer
 ships a realizing template graph and is re-verified against it.
+
+A diameter-4 cell is matched by one lookup per member translate in
+``_ORBIT``, a table built at import of every port permutation of the six
+base classes (37 cells), each keyed to the first permutation and class that
+maps it onto its base.
 """
 
 from __future__ import annotations
@@ -114,6 +119,20 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+def _orbit_table() -> dict[frozenset[int], tuple[tuple[int, ...], int]]:
+    """Each cell that ``perm`` maps onto ``BASE_CELLS[i]``, keyed to the
+    first such ``(perm, i)`` with permutations outer and classes inner."""
+    table: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
+    for perm in permutations(range(4)):
+        inv = tuple(perm.index(j) for j in range(4))
+        for i, base in enumerate(BASE_CELLS):
+            table.setdefault(frozenset(_permute_mask(m, inv) for m in base), (perm, i))
+    return table
+
+
+_ORBIT = _orbit_table()
+
+
 def classify_cell(cell: Cell) -> Classification:
     """Decide whether a flexible cell with at most 4 ports is a Kekulé cell.
 
@@ -169,17 +188,15 @@ def _classify_diameter4(cell: Cell) -> Classification:
     ports = cell.ports
     assert len(ports) == 4, "diameter 4 needs four ports"
     # every base class contains 0, so only a member can translate onto one
-    translations = [gm for gm in ordered_masks(4) if gm in cell.masks]
-    bases = [(i, base) for i, base in enumerate(BASE_CELLS) if len(base) == len(cell)]
-    for gm in translations:
-        for perm in permutations(range(4)):
-            image = frozenset(_permute_mask(gm ^ m, perm) for m in cell.masks)
-            for i, base in bases:
-                if image == base:
-                    inv = tuple(perm.index(j) for j in range(4))
-                    plabels = tuple(ports[inv[j]] for j in range(4))
-                    template = translate_graph(diameter4_template(i, plabels),
-                                               Assignment(ports, gm))
-                    return Classification(True, f"k{i}",
-                                          Assignment(ports, gm), template)
+    for gm in ordered_masks(4):
+        if gm not in cell.masks:
+            continue
+        hit = _ORBIT.get(frozenset(gm ^ m for m in cell.masks))
+        if hit is not None:
+            perm, i = hit
+            inv = tuple(perm.index(j) for j in range(4))
+            plabels = tuple(ports[inv[j]] for j in range(4))
+            template = translate_graph(diameter4_template(i, plabels),
+                                       Assignment(ports, gm))
+            return Classification(True, f"k{i}", Assignment(ports, gm), template)
     return _NOT_KEKULE

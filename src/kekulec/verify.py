@@ -262,19 +262,44 @@ def claim_merge_split(bounds: Bounds) -> ClaimResult:
                        stats={"merges": merges, "splits": splits})
 
 
+def _edge_walk(g: Graph):
+    """Every edge subset of ``g`` once, in reflected Gray-code order, as
+    ``(mask, odd)`` pairs: ``odd`` has bit i set iff ``g.nodes[i]`` meets
+    an odd number of the subset's edges.
+
+    Consecutive masks differ in one edge, so each step XORs that edge's two
+    endpoint bits into ``odd`` instead of recounting every node.
+    """
+    bit = {v: 1 << i for i, v in enumerate(g.nodes)}
+    flip = [bit[u] | bit[v] for u, v in g.edges]
+    mask = odd = 0
+    yield mask, odd
+    for k in range(1, 1 << len(flip)):
+        i = (k & -k).bit_length() - 1  # step k of the Gray code flips edge i
+        mask ^= 1 << i
+        odd ^= flip[i]
+        yield mask, odd
+
+
 def claim_parity_law(bounds: Bounds) -> ClaimResult:
-    """Semi-Kekulé parity law, both directions, by brute force and solving."""
+    """Semi-Kekulé parity law, both directions, by brute force and solving.
+
+    The brute-force direction walks all 2^E edge subsets with ``_edge_walk``.
+    A subset is semi-Kekulé iff every internal node has odd degree in it, and
+    it touches a port iff the port (of degree 1) has odd degree in it.
+    """
     name = "parity-law"
     graphs = atlas_graphs(max_edges=_cap(bounds, 10), connected=True)
     brute = solved = 0
     for g in graphs:
         eps = signature(g)
         inc = [g.incidence_mask(v) for v in g.internal]
-        pinc = [g.incidence_mask(p) for p in g.ports]
-        for mask in range(1 << len(g.edges)):
-            if all((mask & m).bit_count() % 2 for m in inc):
-                touched = sum(1 for m in pinc if mask & m)
-                if touched % 2 != eps:
+        # node bits in ``_edge_walk``'s numbering; every node is a port or internal
+        ports = sum(1 << i for i, v in enumerate(g.nodes) if g.degree[v] == 1)
+        internal = ((1 << len(g.nodes)) - 1) ^ ports
+        for mask, odd in _edge_walk(g):
+            if odd & internal == internal:
+                if (odd & ports).bit_count() % 2 != eps:
                     return _fail(name, f"semi-Kekulé state with wrong parity: {mask:#x}", g)
                 brute += 1
         for m in range(1 << len(g.ports)):
@@ -337,8 +362,27 @@ def claim_kernel_span(bounds: Bounds) -> ClaimResult:
                        stats={"graphs": graphs, "assignments": assignments})
 
 
+def _port_free_masks(g: Graph) -> list[int]:
+    """Every edge subset of ``g`` with no port edge, in increasing order:
+    the submasks of the internal edges, walked by ``sub = (sub - 1) & inner``."""
+    inner = (1 << len(g.edges)) - 1
+    for p in g.ports:
+        inner &= ~g.incidence_mask(p)
+    out = [0]
+    sub = inner
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & inner
+    out.sort()
+    return out
+
+
 def claim_curve_count(bounds: Bounds) -> ClaimResult:
-    """Port-free alternating curve count equals the state count per assignment."""
+    """Port-free alternating curve count equals the state count per assignment.
+
+    The brute-force curves are the port-free edge subsets that pass
+    ``is_curve``; only the submasks of the internal edges are built.
+    """
     name = "curve-count"
     graphs = atlas_graphs(max_edges=_cap(bounds, 8), connected=True)
     checked = 0
@@ -348,12 +392,9 @@ def claim_curve_count(bounds: Bounds) -> ClaimResult:
         for w in states:
             k = port_assignment(g, w).mask
             by_assignment[k] = by_assignment.get(k, 0) + 1
-        # every mask, once per graph: the port-free curves do not depend on W
-        port_edges = 0
-        for p in g.ports:
-            port_edges |= g.incidence_mask(p)
-        curves = [c for c in map(g.subset_from_mask, range(1 << len(g.edges)))
-                  if not c.mask & port_edges and is_curve(g, c)]
+        # once per graph: the port-free curves do not depend on W
+        curves = [c for c in map(g.subset_from_mask, _port_free_masks(g))
+                  if is_curve(g, c)]
         for w in states:
             n = by_assignment[port_assignment(g, w).mask]
             brute = sum(1 for c in curves if is_alternating(g, c, w))
@@ -566,16 +607,19 @@ def claim_omni_families(bounds: Bounds) -> ClaimResult:
 
 def _matches_ycell(ports: tuple[str, ...], masks: frozenset[int]) -> str | None:
     """Shared port label if some translation of the cell is the Y-cell
-    {0, A, A^T, A^B^T} with A={p,r}, B={q,r}, T={t,r}; else None."""
+    {0, A, A^T, A^B^T} with A={p,r}, B={q,r}, T={t,r}; else None.
+
+    The cell's translates {k0 ^ m} (one per member k0) are built once, and
+    each labelling (p, q, r, t) of the ports is a membership test among them.
+    """
     pm = {p: 1 << i for i, p in enumerate(ports)}
+    translates = {frozenset(k0 ^ m for m in masks) for k0 in masks}
     for p, q, r, t in permutations(ports):
         a = pm[p] | pm[r]
         b = pm[q] | pm[r]
         tt = pm[t] | pm[r]
-        target = {0, a, a ^ tt, a ^ b ^ tt}
-        for k0 in masks:
-            if {k0 ^ m for m in masks} == target:
-                return r
+        if frozenset((0, a, a ^ tt, a ^ b ^ tt)) in translates:
+            return r
     return None
 
 

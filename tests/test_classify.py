@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import pytest
 
 from kekulec import (Assignment, Cell, CellError, KekulecError,
                      classify_cell, flex, kekule_cell, diameter4_template,
                      make_delta, parity_space, star_graph)
-from kekulec.classify import BASE_CELLS
+from kekulec.classify import _ORBIT, BASE_CELLS, _permute_mask
 
 PORTS4 = ("a", "b", "c", "d")
 
@@ -120,3 +122,14 @@ def test_classify_soundness_on_sample_graphs(house5, ethene3, single_state_graph
     for g in (house5, ethene3, single_state_graph, make_delta(3), diameter4_template(4)):
         result = classify_cell(flex(kekule_cell(g)))
         assert result.is_kekule
+
+
+def test_orbit_table_permutes_each_key_back_onto_its_base():
+    assert len(_ORBIT) == 37
+    for key, (perm, i) in _ORBIT.items():
+        assert frozenset(_permute_mask(m, perm) for m in key) == BASE_CELLS[i]
+    # every permutation of every base class is a key
+    for perm in permutations(range(4)):
+        inv = tuple(perm.index(j) for j in range(4))
+        for base in BASE_CELLS:
+            assert frozenset(_permute_mask(m, inv) for m in base) in _ORBIT

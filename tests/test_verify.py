@@ -1,6 +1,10 @@
+from itertools import permutations
+
 import pytest
 
-from kekulec import Cell, KekulecError
+from kekulec import Cell, Graph, KekulecError
+from kekulec.classify import BASE_CELLS
+from kekulec.smallgraphs import atlas_graphs
 from kekulec import verify as verify_mod
 from kekulec.verify import Bounds, run_claims
 
@@ -117,3 +121,78 @@ def test_four_port_graphs_are_handed_on_to_the_ycell_claim():
     (after,) = run_claims(bounds, ["ycell-4port-impossibility"])
     assert verify_mod._HANDED_ON == {}
     assert after.detail == alone.detail and after.stats == alone.stats
+
+
+# -- the Y-cell matcher ---------------------------------------------------------------
+
+YCELL = (set(), {"p", "r"}, {"p", "t"}, {"p", "q", "r", "t"})
+
+
+def _masks(ports, members):
+    return frozenset(sum(1 << ports.index(x) for x in s) for s in members)
+
+
+def test_matches_ycell_names_the_shared_port():
+    ports = ("p", "q", "r", "t")
+    assert verify_mod._matches_ycell(ports, _masks(ports, YCELL)) == "r"
+
+
+@pytest.mark.parametrize("ports", list(permutations(("p", "q", "r", "t"))))
+def test_matches_ycell_under_every_translation_and_relabelling(ports):
+    # A = {p,r}, B = {q,r}, T = {t,r}; swapping r and t gives the same cell
+    # (A = {p,t}, T = {r,t}), so either label is a shared port
+    masks = _masks(ports, YCELL)
+    for gm in range(16):
+        assert verify_mod._matches_ycell(ports, frozenset(gm ^ m for m in masks)) in {"r", "t"}
+
+
+@pytest.mark.parametrize("index, moved_to", [
+    (0, {"p", "q"}), (0, {"r", "t"}), (1, {"q", "r"}),
+    (2, {"q", "t"}), (3, {"p", "q"}), (3, {"r", "t"}),
+])
+def test_matches_ycell_refuses_a_moved_member(index, moved_to):
+    ports = ("p", "q", "r", "t")
+    members = list(YCELL)
+    members[index] = moved_to
+    assert verify_mod._matches_ycell(ports, _masks(ports, members)) is None
+
+
+def test_matches_ycell_refuses_k0():
+    assert verify_mod._matches_ycell(("a", "b", "c", "d"), BASE_CELLS[0]) is None
+
+
+# -- the exhaustive walks against their definitions -----------------------------------
+
+def _walk_graphs():
+    return [*atlas_graphs(max_edges=8), Graph([("p", "q")])]
+
+
+def test_edge_walk_visits_every_subset_with_its_odd_nodes():
+    for g in _walk_graphs():
+        walk = list(verify_mod._edge_walk(g))
+        assert sorted(mask for mask, _ in walk) == list(range(1 << len(g.edges)))
+        for mask, odd in walk:
+            want = sum(1 << i for i, v in enumerate(g.nodes)
+                       if (mask & g.incidence_mask(v)).bit_count() % 2)
+            assert odd == want, (g.edges, mask)
+
+
+def test_edge_walk_finds_exactly_the_semi_kekule_subsets():
+    for g in _walk_graphs():
+        inc = [g.incidence_mask(v) for v in g.internal]
+        internal = sum(1 << i for i, v in enumerate(g.nodes) if v in g.internal)
+        walked = {mask for mask, odd in verify_mod._edge_walk(g) if odd & internal == internal}
+        want = {m for m in range(1 << len(g.edges))
+                if all((m & x).bit_count() % 2 for x in inc)}
+        assert walked == want, g.edges
+    # the single edge p-q has no internal node, so both of its subsets count
+    assert [odd for _, odd in verify_mod._edge_walk(Graph([("p", "q")]))] == [0, 0b11]
+
+
+def test_port_free_masks_are_the_subsets_without_a_port_edge():
+    for g in _walk_graphs():
+        port_edges = 0
+        for p in g.ports:
+            port_edges |= g.incidence_mask(p)
+        want = [m for m in range(1 << len(g.edges)) if not m & port_edges]
+        assert verify_mod._port_free_masks(g) == want, g.edges
