@@ -113,11 +113,10 @@ def ordered_masks(n: int, parity: int | None = None) -> Iterator[int]:
         yield from layer_masks(n, k)
 
 
-def layer_masks(n: int, k: int, values: Sequence[int] | None = None) -> Iterator[int]:
+def layer_masks(n: int, k: int) -> Iterator[int]:
     """The masks with ``k`` of ``n`` ports, the layer of :func:`ordered_masks`
-    that holds them, in member order.  With ``values``, one per port, each
-    mask comes as the sum of its ports' values instead."""
-    return map(sum, combinations(values or [1 << i for i in range(n)], k))
+    that holds them, in member order."""
+    return map(sum, combinations([1 << i for i in range(n)], k))
 
 
 def closure(start: int, moves: Sequence[int],

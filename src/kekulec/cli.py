@@ -248,14 +248,10 @@ def _cmd_transform(args) -> int:
     report = RewriteReport.diff(op, g, out_graph)
     document = to_document(out_graph)
     if args.format == "json":
+        # the report's fields are strings and tuples, which json writes as
+        # arrays; vars() skips the deep copy of dataclasses.asdict
         print(json.dumps({"document": document,
-                          "report": {
-                              "operation": report.operation,
-                              "removed_nodes": list(report.removed_nodes),
-                              "added_nodes": list(report.added_nodes),
-                              "removed_edges": [list(e) for e in report.removed_edges],
-                              "added_edges": [list(e) for e in report.added_edges],
-                          }}, sort_keys=True))
+                          "report": vars(report)}, sort_keys=True))
     else:
         print(dumps_document(document))
         for line in report.format_lines():

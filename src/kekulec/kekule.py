@@ -11,15 +11,15 @@ the assignment forces every port edge, and a state exists exactly when the
 port-port edges agree with it and the internal nodes it leaves uncovered
 have a perfect matching among internal-internal edges (Edmonds 1965).
 :class:`_Membership` compiles a graph once, over its internal nodes only,
-and decides that test with bit masks, for one assignment (``probe(mask)``)
-or for a whole cardinality layer in member order
-(:meth:`_Membership.scan_layer`), which shares the covering of port nodes
-across assignments.  Both end in one post-cover test, whose O(1) degree cut
-settles dense cores without a matching search.  Where the core is one
-non-bipartite component with each port on its own node, as in Delta_n, every
-assignment with j ports leaves the same number of free nodes, so that cut
-settles a whole cardinality layer at once (:meth:`_Membership.layers`) and
-its assignments are never probed one by one.
+and decides that test with bit masks, one assignment per call
+(``probe(mask)``), also where :meth:`_Membership.scan_layer` walks a whole
+cardinality layer in member order.  Each call covers the port nodes, then
+runs one post-cover test, whose O(1) degree cut settles dense cores without
+a matching search.  Where the core is one non-bipartite component with each
+port on its own node, as in Delta_n, every assignment with j ports leaves
+the same number of free nodes, so that cut settles a whole cardinality
+layer at once (:meth:`_Membership.layers`) and its assignments are never
+probed one by one.
 
 The cell itself needs no enumeration, and no first state either.  By the
 parity law every state touches as many ports, mod 2, as there are internal
@@ -146,8 +146,8 @@ class _Membership:
     assignment with bit vector ``mask`` (over ``g.ports``): it checks the
     ports, cuts on per-component parity (and on colour balance where a
     component is bipartite), then searches for a perfect matching of the
-    free nodes.  ``scan_layer(j)`` gives the same verdict for every mask
-    with j ports in member order; ``layers(parity)`` names the layers whose
+    free nodes.  ``scan_layer(j)`` makes that call for every mask with j
+    ports in member order; ``layers(parity)`` names the layers whose
     masks are all members without probing any of them, and ``realized()``
     gives every realized mask at once.
     """
@@ -225,24 +225,8 @@ class _Membership:
         return self._completes(mask, covered)
 
     def scan_layer(self, j: int) -> Iterator[tuple[int, bool]]:
-        """``(mask, self(mask))`` for every mask with ``j`` ports, in member order.
-
-        Port i enters as ``port_node << k | 1 << i`` for k ports, so one sum
-        over the ports of a mask (:func:`~kekulec.cells.layer_masks`) holds
-        the mask in its low k bits and the nodes its port edges cover above.
-        Two ports on one node carry there, and so cover fewer nodes than
-        there are ports on internal nodes.
-        """
-        port_node, completes = self._port_node, self._completes
-        k = len(port_node)
-        low = (1 << k) - 1
-        attached = sum(1 << i for i, node in enumerate(port_node) if node)
-        values = [node << k | 1 << i for i, node in enumerate(port_node)]
-        for packed in layer_masks(k, j, values):
-            mask = packed & low
-            covered = packed >> k
-            yield mask, (covered.bit_count() == (mask & attached).bit_count()
-                         and completes(mask, covered))
+        """``(mask, self(mask))`` for every mask with ``j`` ports, in member order."""
+        return ((mask, self(mask)) for mask in layer_masks(len(self._port_node), j))
 
     def layers(self, parity: int) -> Iterator[tuple[int, bool]]:
         """``(j, settled)`` for every port count j of the given parity,

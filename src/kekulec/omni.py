@@ -9,8 +9,8 @@ layer whole (``_Membership.layers``): when the internal minimum degree leaves
 each free node at least half of them as neighbours, Dirac's theorem (1952)
 gives a Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3)
 every layer settles and no assignment is probed.  An unsettled layer is
-decided mask by mask in one compiled scan (``_Membership.scan_layer``), which
-covers each mask's port nodes with one sum of packed per-port values.
+decided mask by mask in member order (``_Membership.scan_layer``), one
+compiled probe per mask.
 :func:`realized_assignment_count` is the size of the Kekulé cell, read off
 the one bitset that :func:`~kekulec.kekule.kekule_cell` decodes
 (``kekule._realized``).

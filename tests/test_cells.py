@@ -181,14 +181,13 @@ def test_ordered_masks_keeps_the_index_sum_sequence(n):
 
 @pytest.mark.parametrize("n", range(10))
 def test_ordered_masks_sums_given_values_in_member_order(n):
-    rng = random.Random(n)
-    values = [rng.randrange(1 << 40) for _ in range(n)]
+    # each layer_masks(n, k) is the k-port stretch of ordered_masks, in order
     for parity in (None, 0, 1):
-        want = [sum(v for i, v in enumerate(values) if m >> i & 1)
-                for m in ordered_masks(n, parity)]
-        got = [total for k in range(parity or 0, n + 1, 1 if parity is None else 2)
-               for total in layer_masks(n, k, values)]
-        assert got == want
+        ks = range(parity or 0, n + 1, 1 if parity is None else 2)
+        layers = [list(layer_masks(n, k)) for k in ks]
+        assert [m for layer in layers for m in layer] == list(ordered_masks(n, parity))
+        for k, layer in zip(ks, layers):
+            assert all(m.bit_count() == k for m in layer)
 
 
 def test_members_order_is_sort_key_order():

@@ -25,7 +25,7 @@ from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      kekule_states_for, make_A, make_delta, parity_space,
                      pendant_core_is_complete, port_assignment,
                      realized_assignment_count, signature)
-from kekulec.cells import closure, ordered_masks
+from kekulec.cells import closure, layer_masks, ordered_masks
 from kekulec import kekule
 from kekulec.graph import EdgeSubset
 from kekulec.kekule import _Membership
@@ -934,10 +934,46 @@ def test_a_core_one_edge_short_expands_its_open_layer(n, per_mask_calls):
     g = pendant_form(minus(complete([f"v{i:02d}" for i in range(n)]), ("v00", "v01")))
     assert realized_assignment_count(g) == (1 << (n - 1)) - 1
     # only the layer that can leave v00 and v01 free is scanned
-    assert per_mask_calls == {"__call__": 0, "_completes": comb(n, 2)}
+    assert per_mask_calls == {"__call__": comb(n, 2), "_completes": comb(n, 2)}
     verdict = is_omniconjugated(g)
     assert set(verdict.witness.labels()) == {f"pv{i:02d}" for i in range(2, n)}
     assert 0 < per_mask_calls["_completes"] <= 2 * comb(n, 2)
+
+
+def shared_node_hex_patch():
+    """A 3x3 hex patch whose first two ports each share their node with a
+    second port."""
+    g = hex_patch(3, 3, 4, random.Random(5))
+    extra = [(f"q{i}", nb) for i, p in enumerate(g.ports[:2]) for nb, _ in g.neighbors(p)]
+    return Graph(list(g.edges) + extra)
+
+
+@pytest.mark.parametrize("shape", ["atlas", "hex"])
+def test_scan_layer_makes_one_call_per_mask(shape, per_mask_calls):
+    if shape == "atlas":  # the first with four ports, some sharing a node
+        g = next(g for g in atlas_graphs() if len(g.ports) >= 4
+                 and 1 < len(set(_Membership(g)._port_node)) < len(g.ports))
+    else:
+        g = shared_node_hex_patch()
+    probe = _Membership(g)
+    k = len(g.ports)
+
+    def clashes(mask):
+        """Whether two ports of ``mask`` hang on one internal node."""
+        nodes = [node for i, node in enumerate(probe._port_node) if mask >> i & 1 and node]
+        return len(set(nodes)) < len(nodes)
+
+    total = 0
+    for j in range(k + 1):
+        calls = dict(per_mask_calls)
+        masks = [mask for mask, _ in probe.scan_layer(j)]
+        assert masks == list(layer_masks(k, j))
+        # a clash stops in __call__, before _completes
+        clash = sum(map(clashes, masks))
+        total += clash
+        assert per_mask_calls == {"__call__": calls["__call__"] + comb(k, j),
+                                  "_completes": calls["_completes"] + comb(k, j) - clash}
+    assert total
 
 
 def test_pendant_core_law_on_settled_layers():
