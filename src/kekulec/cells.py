@@ -5,8 +5,11 @@ A port assignment is a subset of a fixed, lexicographically ordered port set,
 stored as a bit vector; a cell is a set of assignments over one port set.
 Member order is :meth:`Assignment.sort_key` order, (cardinality, labels);
 as the port tuple is sorted, that is fewer bits first, then lower port
-indices, a function of the mask alone (:func:`ordered_masks`,
-:meth:`Cell.members`).
+indices, a function of the mask alone.  :func:`ordered_masks` generates masks
+in that order; :meth:`Cell.members` sorts a mask set into it with two stable
+sorts, on the bits read from port 0 up and then on the bit count.
+:meth:`Assignment.labels` walks the set bits, lowest first, so it costs one
+step per member port, not one per port.
 """
 
 from __future__ import annotations
@@ -28,16 +31,24 @@ class Assignment:
 
     @staticmethod
     def of(ports: tuple[str, ...], labels: Iterable[str] = ()) -> "Assignment":
-        index = {p: i for i, p in enumerate(ports)}
         mask = 0
         for x in labels:
-            if x not in index:
-                raise CellError(f"label '{x}' is not a port of this cell")
-            mask |= 1 << index[x]
+            try:
+                i = ports.index(x)
+            except ValueError:
+                raise CellError(f"label '{x}' is not a port of this cell") from None
+            mask |= 1 << i
         return Assignment(ports, mask)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.ports) if self.mask >> i & 1)
+        ports = self.ports
+        labels = []
+        rest = self.mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            labels.append(ports[low.bit_length() - 1])
+        return tuple(labels)
 
     def sort_key(self) -> tuple[int, tuple[str, ...]]:
         return (self.mask.bit_count(), self.labels())
@@ -46,7 +57,11 @@ class Assignment:
         return self.mask.bit_count()
 
     def __contains__(self, label: str) -> bool:
-        return label in self.labels()
+        try:
+            i = self.ports.index(label)
+        except ValueError:
+            return False
+        return bool(self.mask >> i & 1)
 
     def __xor__(self, other: "Assignment") -> "Assignment":
         if self.ports != other.ports:
@@ -82,10 +97,12 @@ class Cell:
 
     def members(self) -> tuple[Assignment, ...]:
         """Members in member order, sorted on the masks alone."""
-        # descending on (-bits, bits read from port 0 up): fewer bits first,
-        # then the mask that holds the first port where two masks differ
-        masks = sorted(self.masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]),
-                       reverse=True)
+        # descending on the bits read from port 0 up, which puts first the
+        # mask that holds the first port where two masks differ (no two masks
+        # read alike); then a stable sort on the bit count keeps that order
+        # within each count
+        masks = sorted(self.masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+        masks.sort(key=int.bit_count)
         return tuple(Assignment(self.ports, m) for m in masks)
 
     def assignment(self, labels: Iterable[str] = ()) -> Assignment:

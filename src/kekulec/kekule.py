@@ -40,6 +40,7 @@ missing, each mask probed at most once.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
 from . import gf2
@@ -50,6 +51,9 @@ from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve, si
 _RANK_CAP = 24
 # the frontier DP of _Membership.realized gives up past this many bits (8 MB)
 _DP_BITS = 1 << 26
+# the settled layers of a cell search may hold at most 2^20 members, under
+# allow_large too: kekule_cell decodes them in about 90 MB
+_MEMBER_CAP = 20
 # simulate has no --allow-large, so the refusal names it only where it exists
 _OVERRIDE = "pass allow_large=True, or --allow-large where the command has it, to override"
 
@@ -476,7 +480,9 @@ def _realized(g: Graph, allow_large: bool) -> int:
     (:meth:`_Membership.scan_layer`) finds missing: at most the 2^(k-1)
     masks of the class for k ports, each probed once, and none where every
     layer settles.  Without ``allow_large`` a scan is refused where that
-    bound passes 2^24 probes.
+    bound passes 2^24 probes.  Before the class is built, the members of its
+    settled layers are counted, and past ``2^_MEMBER_CAP`` of them the search
+    is refused, with ``allow_large`` too.
     """
     k = len(g.ports)
     parity = signature(g)
@@ -493,6 +499,12 @@ def _realized(g: Graph, allow_large: bool) -> int:
         # past 24 port-port edges their fold alone passes the DP's budget, so
         # a graph refused here has never run the DP
         _check_port_pairs(len(probe._port_pairs), allow_large)
+    # the settled layers are members whatever the scan finds; decoding them
+    # is the memory, so they are priced before the class is built
+    settled = sum(comb(k, j) for j, done in layers if done)
+    if settled > 1 << _MEMBER_CAP:
+        raise KekulecError(f"cell of at least {settled} members exceeds 2^{_MEMBER_CAP}; "
+                           "allow_large does not lift this bound")
     if open_layers and k - 1 > _RANK_CAP and not allow_large:
         raise KekulecError(f"cell search bound 2^{k - 1} probes exceeds 2^{_RANK_CAP}; "
                            f"{_OVERRIDE}")
@@ -516,7 +528,8 @@ def kekule_cell(g: Graph, allow_large: bool = False) -> Cell:
     """The set of port assignments realized by some Kekulé state, as
     :func:`_realized` finds it; refused without ``allow_large`` where the
     state count bound, the free port-port edges' span or the scan's price
-    passes 2^24."""
+    passes 2^24, and with it too where the settled members would pass
+    2^20."""
     _check_scale(g, allow_large)
     # bit m of the set is mask m: read the set bits off its binary digits
     digits = bin(_realized(g, allow_large))[:1:-1]

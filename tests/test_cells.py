@@ -223,3 +223,80 @@ def test_closure_stops_at_rejected_masks():
     assert closure(0, moves, lambda m: m != 0b10) == frozenset({0b00, 0b01, 0b11})
     assert closure(0, moves, lambda m: m == 0b11) == frozenset({0b00})
     assert closure(5, [], lambda m: True) == frozenset({5})
+
+
+def _labels_by_definition(ports, mask):
+    return tuple(p for i, p in enumerate(ports) if mask >> i & 1)
+
+
+def _mask_by_definition(ports, labels):
+    index = {p: i for i, p in enumerate(ports)}
+    mask = 0
+    for x in labels:
+        mask |= 1 << index[x]
+    return mask
+
+
+def _label_cases():
+    """Every mask over 12 ports, and random masks over 40 and 64 ports."""
+    ports = tuple(f"p{i:02d}" for i in range(12))
+    yield from ((ports, m) for m in range(1 << 12))
+    rng = random.Random(19)
+    for n in (40, 64):
+        ports = tuple(sorted(f"r{rng.randrange(10 ** 6):06d}-{i}" for i in range(n)))
+        yield from ((ports, m) for m in (0, (1 << n) - 1, 1, 1 << n - 1))
+        yield from ((ports, rng.getrandbits(n)) for _ in range(400))
+
+
+def test_labels_and_of_match_their_definitions():
+    for ports, mask in _label_cases():
+        labels = _labels_by_definition(ports, mask)
+        a = Assignment(ports, mask)
+        assert a.labels() == labels
+        assert Assignment.of(ports, labels) == a
+        assert Assignment.of(ports, reversed(labels)).mask == _mask_by_definition(ports, labels)
+
+
+def test_contains_tests_the_label_bit():
+    for ports, mask in _label_cases():
+        labels = _labels_by_definition(ports, mask)
+        a = Assignment(ports, mask)
+        assert [p in a for p in ports] == [p in labels for p in ports]
+        assert "not-a-port" not in a and 3 not in a
+
+
+def test_of_ignores_repeated_labels():
+    assert asg("aab") == asg("bab") == asg("ab") == asg("abba")
+    rng = random.Random(5)
+    ports = tuple(f"p{i:02d}" for i in range(40))
+    for _ in range(200):
+        labels = rng.choices(ports, k=rng.randrange(60))
+        assert Assignment.of(ports, labels).mask == _mask_by_definition(ports, labels)
+
+
+def test_of_names_an_unknown_label():
+    for labels in (("z",), ("a", "z"), ("a", "b", "z", "c"), ("a", "z", "a")):
+        with pytest.raises(CellError) as refused:
+            Assignment.of(PORTS4, labels)
+        assert str(refused.value) == "label 'z' is not a port of this cell"
+    with pytest.raises(CellError, match="^label 'A' is not a port of this cell$"):
+        Cell.of(PORTS4, ["ab", "cA"])
+
+
+def test_members_order_is_popcount_then_set_bit_indices():
+    # an independent key: (bit count, indices of the set bits, ascending)
+    rng = random.Random(23)
+    for n in (0, 1, 2, 3, 7, 12, 13, 20, 31, 40):
+        ports = tuple(sorted(f"s{rng.randrange(10 ** 6):06d}-{i}" for i in range(n)))
+
+        def key(m):
+            return m.bit_count(), tuple(i for i in range(n) if m >> i & 1)
+
+        for _ in range(6):
+            masks = {rng.getrandbits(n) for _ in range(rng.randint(1, 150))}
+            # masks of one bit count that share low or high bits
+            for _ in range(rng.randint(0, 150)):
+                bits = rng.sample(range(n), rng.randint(0, min(n, 4)))
+                masks.add(sum(1 << i for i in bits) | (1 << n) - 1 >> n // 2 << n // 2)
+            cell = Cell(ports, frozenset(masks))
+            assert [k.mask for k in cell.members()] == sorted(masks, key=key)

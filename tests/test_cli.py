@@ -146,6 +146,16 @@ def test_scale_refusal_names_the_cli_flag(graph_file, capsys):
     assert code == 0 and len(out.splitlines()) == 1 + 2048
 
 
+def test_cell_refuses_delta30_past_the_member_bound(graph_file, capsys):
+    # the 2^29 members of Delta_30's cell pass the member bound, which
+    # --allow-large does not lift: one error line, no traceback
+    path = graph_file("delta30")
+    code, out, err = run(capsys, "cell", path, "--allow-large")
+    assert (code, out) == (1, "")
+    assert err == ("error: cell of at least 536870912 members exceeds 2^20; "
+                   "allow_large does not lift this bound\n")
+
+
 def test_cell_refuses_a_caterpillar_past_the_dp_budget(graph_file, capsys):
     # a 13-node path with two pendant ports on each node: cycle rank 0, but
     # the DP gives up, and the scan of the parity class of its 26 ports would

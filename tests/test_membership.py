@@ -1101,6 +1101,38 @@ def test_caterpillar_past_the_dp_budget_is_refused():
     assert _Membership(g).realized() is None
 
 
+def test_settled_cell_past_the_member_bound_is_refused_at_once():
+    # every layer of Delta_n settles, so its cell is the whole parity class:
+    # 2^29 members for n = 30, refused before the 2^30-bit class is built,
+    # under allow_large too; Delta_20's 2^19 members are admitted
+    assert len(kekule_cell(make_delta(20), allow_large=True)) == 1 << 19
+    start = time.perf_counter()
+    with pytest.raises(KekulecError) as refused:
+        kekule_cell(make_delta(30), allow_large=True)
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == ("cell of at least 536870912 members exceeds 2^20; "
+                                  "allow_large does not lift this bound")
+
+
+def test_member_bound_prices_the_settled_layers(monkeypatch):
+    # K_8 less a perfect matching, a port on each node: the layers of 0, 2,
+    # 4 and 8 ports settle (100 members) and the 28 masks of 6 ports are
+    # scanned; the bound counts the settled members, not the class of 128
+    g = Graph([(f"u{i}", f"u{j}") for i in range(8) for j in range(i + 1, 8)
+               if not (i % 2 == 0 and j == i + 1)] + [(f"p{i}", f"u{i}") for i in range(8)])
+    assert [j for j, settled in _Membership(g).layers(0) if not settled] == [6]
+    monkeypatch.setattr(kekule, "_MEMBER_CAP", 7)
+    assert_cell_agrees(g)
+    monkeypatch.setattr(kekule, "_MEMBER_CAP", 6)
+    with pytest.raises(KekulecError, match=r"^cell of at least 100 members exceeds 2\^6;"):
+        kekule_cell(g)
+    # a class that settles whole is admitted at exactly the bound
+    monkeypatch.setattr(kekule, "_MEMBER_CAP", 5)
+    assert len(kekule_cell(make_delta(6))) == 32
+    with pytest.raises(KekulecError, match=r"^cell of at least 64 members exceeds 2\^5;"):
+        kekule_cell(make_delta(7))
+
+
 def test_scan_price_admits_up_to_twenty_five_ports(monkeypatch):
     # with a budget of 2^8 bits the DP gives up on every caterpillar below;
     # a scan of 2^24 probes is admitted, one of 2^25 is not
