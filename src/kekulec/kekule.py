@@ -257,10 +257,9 @@ class _Membership:
         Kekulé state has the assignment with bit vector m; None past the
         budget set out below.
 
-        A frontier (transfer-matrix) DP over the internal nodes in BFS order,
-        each component from its lowest-numbered node (Klein, Hite, Seitz &
-        Schmalz 1986), with sets of masks in place of counts: OR adds, a
-        shift by 2^j adds port j to every mask.  A state maps the later
+        A frontier (transfer-matrix) DP over the internal nodes (Klein, Hite,
+        Seitz & Schmalz 1986), with sets of masks in place of counts: OR adds,
+        a shift by 2^j adds port j to every mask.  A state maps the later
         nodes already matched, the frontier, to the masks of the ports
         matched so far.  A node in the frontier leaves it; any other takes
         a later neighbour outside the frontier or one of its ports.  Ports on
@@ -268,17 +267,27 @@ class _Membership:
         whatever the rest of the state does, so a shift by its two ports
         then copies every mask.
 
+        The frontier lies within the boundary, the unvisited nodes with a
+        visited neighbour, so the nodes are visited in an order that keeps
+        the boundary narrow, chosen as the DP goes (the greedy
+        vertex-separation heuristic; Kinnersley 1992).  Each component
+        starts from its lowest-numbered node; each later step visits the
+        boundary node that brings the fewest new nodes into the boundary,
+        ties to the lowest bit, and a boundary of one node is taken without
+        a scan.
+
         The budget prices each state at its set (as many bits as the largest
         mask so far, plus one), its key (one bit per internal node) and about
         128 bytes of dictionary entry and int headers, and is checked as the
         states of a step are made.  The DP also gives up once its steps, one
-        per state and candidate partner, pass what the scan of the parity
-        class that :func:`_realized` falls back to costs: 2^(k-1) probes for k
-        ports, each priced at 4n steps over n internal nodes, as its matching
-        search visits each free node a few times, plus one step per state the
-        budget holds at its overhead alone.  So a wide frontier with few ports
-        costs little more here than there, and a chain, at up to four steps
-        per node, stays on the DP.
+        per state and candidate partner and one per boundary node a choice
+        scans, pass what the scan of the parity class that :func:`_realized`
+        falls back to costs: 2^(k-1) probes for k ports, each priced at 4n
+        steps over n internal nodes, as its matching search visits each free
+        node a few times, plus one step per state the budget holds at its
+        overhead alone.  So a wide frontier with few ports costs little more
+        here than there, and a chain, at up to four steps per node, stays on
+        the DP.
         """
         adj = self._adj
         shifts: list[list[int]] = [[] for _ in adj]
@@ -291,51 +300,66 @@ class _Membership:
         overhead = n + 1024
         steps = _DP_BITS // overhead + (4 * n << k >> 1)
         states = {0: 1}
-        done = 0
         reach = 0  # the largest mask so far: the sets hold at most reach + 1 bits
-        left = self._internal
+        left = self._internal  # the nodes not yet visited
+        boundary = 0  # the nodes of left with a visited neighbour
         while left:
-            order = [left & -left]
-            seen = order[0]
-            for v in order:  # grows while it is walked: breadth-first
-                i = v.bit_length() - 1
-                done |= v
-                later = []
-                nbrs = adj[i] & ~done
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    later.append(low)
-                    if not seen & low:
-                        seen |= low
-                        order.append(low)
-                steps -= len(states) * (len(later) + 1)
-                if steps < 0:
+            if boundary & (boundary - 1):
+                # the boundary node that brings the fewest new nodes into the
+                # boundary, ties to the lowest bit; one step per node scanned
+                steps -= boundary.bit_count()
+                outside = left & ~boundary
+                fewest = n
+                rest = boundary
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    grow = (adj[low.bit_length() - 1] & outside).bit_count()
+                    if grow < fewest:
+                        v, fewest = low, grow
+                        if not grow:  # none can bring fewer
+                            break
+                boundary ^= v
+            else:
+                # the one boundary node, or else the next component's
+                # lowest-numbered node
+                v = boundary or left & -left
+                boundary = 0
+            i = v.bit_length() - 1
+            left ^= v
+            nbrs = adj[i] & left
+            boundary |= nbrs
+            later = []
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                later.append(low)
+            steps -= len(states) * (len(later) + 1)
+            if steps < 0:
+                return None
+            ports = shifts[i]
+            reach += sum(ports)
+            cap = _DP_BITS // (reach + 1 + overhead)
+            new: dict[int, int] = {}
+            get = new.get
+            for front, masks in states.items():
+                if front & v:
+                    front ^= v
+                    new[front] = get(front, 0) | masks
+                    continue
+                for u in later:
+                    if not front & u:
+                        new[front | u] = get(front | u, 0) | masks
+                if ports:
+                    wider = 0
+                    for shift in ports:
+                        wider |= masks << shift
+                    new[front] = get(front, 0) | wider
+                if len(new) > cap:
                     return None
-                ports = shifts[i]
-                reach += sum(ports)
-                cap = _DP_BITS // (reach + 1 + overhead)
-                new: dict[int, int] = {}
-                get = new.get
-                for front, masks in states.items():
-                    if front & v:
-                        front ^= v
-                        new[front] = get(front, 0) | masks
-                        continue
-                    for u in later:
-                        if not front & u:
-                            new[front | u] = get(front | u, 0) | masks
-                    if ports:
-                        wider = 0
-                        for shift in ports:
-                            wider |= masks << shift
-                        new[front] = get(front, 0) | wider
-                    if len(new) > cap:
-                        return None
-                if not new:
-                    return 0
-                states = new
-            left &= ~seen
+            if not new:
+                return 0
+            states = new
         masks = states[0]
         for pair in self._port_pairs:
             masks |= masks << pair

@@ -11,6 +11,7 @@ ones, which is also the fallback past the DP's budget; every route must find
 exactly the assignments of the enumerated states.
 """
 
+import functools
 import random
 import time
 import tracemalloc
@@ -115,11 +116,26 @@ def test_cell_agrees_on_families(g):
     assert_cell_agrees(g)
 
 
+@functools.cache
+def scanned_hex_cell(m, n, ports, seed):
+    """The cell of a seeded hex patch by a route of its own: one probe per
+    mask of its parity class, as the scan past the DP's budget makes them."""
+    g = hex_patch(m, n, ports, random.Random(seed))
+    probe = _Membership(g)
+    return frozenset(mask for mask in ordered_masks(ports, signature(g)) if probe(mask))
+
+
 @pytest.mark.parametrize("m, n, ports, seed", [
     (2, 2, 4, 1), (2, 2, 6, 2), (3, 3, 6, 3), (3, 3, 8, 4), (3, 3, 10, 5),
+    (8, 8, 16, 1), (10, 10, 16, 1),
 ])
 def test_cell_agrees_on_hex_patches(m, n, ports, seed):
-    assert_cell_agrees(hex_patch(m, n, ports, random.Random(seed)))
+    g = hex_patch(m, n, ports, random.Random(seed))
+    if m * n <= 9:
+        assert_cell_agrees(g)
+    else:
+        # far past the enumeration range: against the scan instead
+        assert kekule_cell(g, allow_large=True).masks == scanned_hex_cell(m, n, ports, seed)
 
 
 def test_cell_agrees_with_port_port_edges():
@@ -515,21 +531,41 @@ def traced_realized(g):
         tracemalloc.stop()
 
 
+def dense_core(nodes, seed):
+    """``nodes`` nodes at density 0.5 with 14 ports, two of them on one node."""
+    rng = random.Random(seed)
+    core = [e for e in complete([f"v{i:02d}" for i in range(nodes)]) if rng.random() < 0.5]
+    spots = rng.sample(range(nodes), 13)
+    return Graph(core + [(f"p{i:02d}", f"v{s:02d}") for i, s in enumerate(spots)]
+                 + [("p13", f"v{spots[0]:02d}")])
+
+
+def test_dense_core_within_the_budget_takes_the_dp():
+    # 24 nodes: the narrow-boundary order keeps the frontier within the
+    # budget, so the DP decides the cell
+    g = dense_core(24, 3)
+    assert takes_dp_route(g)
+    cell = assert_routes_agree(g, enumerable=False)
+    assert len(cell) == realized_assignment_count(g) == parity_scan_count(g)
+
+
 def test_dense_core_past_the_budget_falls_back_to_the_probe_closure():
-    # 24 nodes at density 0.5, 14 ports, two of them on one node: the
-    # frontier outgrows the budget, which is checked while a step's states
-    # are made, so the old and new states stay within twice its 8 MB; the
-    # cell then comes from the scan
-    rng = random.Random(3)
-    core = [e for e in complete([f"v{i:02d}" for i in range(24)]) if rng.random() < 0.5]
-    spots = rng.sample(range(24), 13)
-    g = Graph(core + [(f"p{i:02d}", f"v{s:02d}") for i, s in enumerate(spots)]
-              + [("p13", f"v{spots[0]:02d}")])
+    # 30 nodes: the frontier outgrows the budget in this order too, and the
+    # budget is checked while a step's states are made, so the old and new
+    # states stay within twice its 8 MB; the cell then comes from the scan
+    g = dense_core(30, 3)
     realized, peak = traced_realized(g)
     assert realized is None and not takes_dp_route(g)
     assert peak < kekule._DP_BITS // 4
     cell = assert_routes_agree(g, enumerable=False)
     assert len(cell) == realized_assignment_count(g) == parity_scan_count(g)
+
+
+def test_dp_decides_a_10x10_hex_patch_with_16_ports():
+    # 240 internal nodes, of which the narrow-boundary order keeps at most
+    # 11 in the boundary, so the DP decides the cell within its budget
+    g = hex_patch(10, 10, 16, random.Random(1))
+    assert dp_cell(g) == scanned_hex_cell(10, 10, 16, 1)
 
 
 def complete_bipartite(m, ports):
