@@ -13,7 +13,12 @@ have a perfect matching among internal-internal edges (Edmonds 1965).
 :class:`_Membership` compiles a graph once, over its internal nodes only,
 and decides that test with bit masks, one assignment per call
 (``probe(mask)``), also where :meth:`_Membership.scan_layer` walks a whole
-cardinality layer in member order.  Each call covers the port nodes, then
+cardinality layer in member order.  The compile first folds the core by the
+paper's merge law: a node with no port and two internal neighbours goes, and
+its neighbours merge into one node that takes over their ports, which keeps
+every verdict (:meth:`_Membership._fold`); chains and the degree-2 rims of
+hex patches shrink, so every probe, scan and DP below runs on fewer nodes.
+Each call covers the port nodes, then
 runs one post-cover test, whose O(1) degree cut settles dense cores without
 a matching search.  Where the core is one non-bipartite component with each
 port on its own node, as in Delta_n, every assignment with j ports leaves
@@ -29,7 +34,7 @@ cell as one int bitset, and :func:`kekule_cell` and
 :func:`~kekulec.omni.realized_assignment_count` read it.  Below two ports
 the class holds at most one mask, and one probe decides it.  Where no
 layer of the class settles, :meth:`_Membership.realized` runs a frontier
-(transfer-matrix) DP over the internal nodes whose values are sets of port
+(transfer-matrix) DP over the folded core whose values are sets of port
 masks, one int bitset each, and so gives the whole cell in one pass, exact
 on any core, empty where there is no state.  Port-port edges stay out of the
 DP and are folded in after it.  Where some layer settles, or the DP's sets
@@ -144,7 +149,11 @@ def _covers(g: Graph, ports: int | None = None) -> Iterator[int]:
 
 class _Membership:
     """The compiled cell-membership probe of one graph, over its internal
-    nodes in ascending (degree, label) order: internal node i is bit i.
+    nodes in ascending (degree, label) order: internal node i is bit i.  The
+    compile folds the core (:meth:`_fold`), so ``_internal`` holds the bits
+    of the surviving nodes only, with holes where nodes were folded away,
+    and a port may share its node with the ports of the nodes merged into
+    it; every count of nodes below counts the survivors.
 
     Called as ``probe(mask)``, it is True iff some Kekulé state has the port
     assignment with bit vector ``mask`` (over ``g.ports``): it checks the
@@ -166,29 +175,43 @@ class _Membership:
         bit = dict.fromkeys(g.ports, 0)
         for i, v in enumerate(internal):
             bit[v] = 1 << i
-        neighbors = g.neighbors
+        neighbors = g._adj  # per node: (neighbour, edge) pairs, as g.neighbors gives them
         # per internal node: its internal neighbours
         adj = []
         for v in internal:
             nbrs = 0
-            for u, _ in neighbors(v):
+            for u, _ in neighbors[v]:
                 nbrs |= bit[u]
             adj.append(nbrs)
         self._adj = adj
         self._internal = (1 << len(adj)) - 1
-        # 2 (minimum internal degree - n), for the degree cut of _completes
-        self._degree_cut = 2 * (min(map(int.bit_count, adj), default=0) - len(adj))
         # per port: the bit of its neighbour, 0 when that is a port; and each
         # port-port edge once, from its first port
         ports = g.ports
         self._port_node = port_node = []
         self._port_pairs = []
         for j, p in enumerate(ports):
-            (nb, _), = neighbors(p)
+            (nb, _), = neighbors[p]
             node = bit[nb]
             port_node.append(node)
             if not node and p < nb:
                 self._port_pairs.append(1 << j | 1 << ports.index(nb))
+        # the nodes of degree 2 come first; those with two internal
+        # neighbours carry no port, and the fold starts from them
+        degree = g.degree
+        portless = []
+        for i, v in enumerate(internal):
+            if degree[v] != 2:
+                break
+            if adj[i].bit_count() == 2:
+                portless.append(i)
+        if portless:
+            self._fold(portless)
+        # 2 (minimum degree - n) over the n nodes of the folded core, for the
+        # degree cut of _completes; a folded-away node's entry holds all the
+        # compiled nodes, more than any survivor's degree, so min skips it
+        self._degree_cut = 2 * (min(map(int.bit_count, adj), default=0)
+                                - self._internal.bit_count())
         # breadth-first by whole layers, the odd ones colour 1: an edge joins
         # two layers at most one apart, so the component is bipartite iff no
         # edge stays inside a layer; (node mask, colour-1 mask or None when
@@ -215,6 +238,85 @@ class _Membership:
             components.append((comp, colour if bipartite else None))
             left &= ~comp
 
+    def _fold(self, queue: list[int]) -> None:
+        """Fold the core by the merge law of
+        :func:`~kekulec.transform.merge_node` while some node has no port and
+        exactly two internal neighbours, starting from the nodes in ``queue``.
+
+        Such a node v is dropped, and of its neighbours a and b the one of
+        lower degree is absorbed into the other: their adjacencies unite, the
+        a-b edge goes and an edge to a common neighbour is kept once; the
+        absorbed node's ports move to the survivor.  For each port mask this
+        keeps the verdict.  With a and b both free, a perfect matching pairs
+        v with one of them and the other with a neighbour of the survivor
+        (the degree-2 fold of perfect matching, and back).  With one covered,
+        v is forced to the other, and the survivor is covered.  With both
+        covered, v has no partner left, and the two ports share the
+        survivor, which the port check refuses.
+
+        The survivor and the common neighbours, which lose a neighbour, are
+        queued again when left with two neighbours.  A node is tested when
+        it is taken, as a merge may have dropped it, given it a port or
+        changed its degree since it was queued.  Absorbing the lower-degree
+        neighbour walks only its adjacency, so a hub with many folded arms
+        costs one pass over them.
+        """
+        adj, port_node = self._adj, self._port_node
+        internal = full = self._internal
+        carries = 0  # the nodes with a port
+        for node in port_node:
+            carries |= node
+        into = {}  # an absorbed node with a port: the node that absorbed it
+        while queue:
+            i = queue.pop()
+            v = 1 << i
+            nbrs = adj[i]
+            # a folded-away node's entry holds all of the compiled nodes,
+            # at least three, so it fails the degree test too
+            if carries & v or nbrs.bit_count() != 2:
+                continue
+            a = nbrs & -nbrs
+            b = nbrs ^ a
+            ia, ib = a.bit_length() - 1, b.bit_length() - 1
+            # a is absorbed into b: the lower degree, ties to the lower bit
+            if adj[ib].bit_count() < adj[ia].bit_count():
+                a, b, ia, ib = b, a, ib, ia
+            absorbed = adj[ia] & ~(v | b)
+            kept = adj[ib] & ~(v | a)
+            internal ^= v | a
+            adj[i] = adj[ia] = full
+            adj[ib] = kept | absorbed
+            rest = absorbed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = low.bit_length() - 1
+                adj[c] = adj[c] ^ a | b
+            if carries & a:
+                carries |= b
+                into[a] = b
+            if adj[ib].bit_count() == 2:
+                queue.append(ib)
+            common = kept & absorbed
+            while common:
+                low = common & -common
+                common ^= low
+                c = low.bit_length() - 1
+                if adj[c].bit_count() == 2:
+                    queue.append(c)
+        self._internal = internal
+        if into:
+            for j, node in enumerate(port_node):
+                if node in into:
+                    # follow the absorptions, pointing each one passed at the end
+                    passed = []
+                    while node in into:
+                        passed.append(node)
+                        node = into[node]
+                    for gone in passed:
+                        into[gone] = node
+                    port_node[j] = node
+
     def __call__(self, mask: int) -> bool:
         port_node = self._port_node
         covered = 0
@@ -237,14 +339,18 @@ class _Membership:
         ascending; ``settled`` when every mask with j ports is a member,
         decided for the whole layer without a probe.
 
-        A layer can settle when the internal nodes form one non-bipartite
-        component and every port hangs on its own internal node.  Then every
-        mask with j ports leaves the same n - j free nodes of n, so the
+        A layer can settle when the n nodes of the folded core form one
+        non-bipartite component and every port hangs on its own node.  Then
+        every mask with j ports leaves the same n - j free nodes of n, so the
         parity cut and the degree cut of :meth:`_completes` decide all of
         them alike; with no free node left the empty matching completes.
+        Ports that share a merged node unsettle every layer.  A core that
+        folds has a node of degree 2, so before the fold its degree cut
+        settled layer j only on n <= 4 - j nodes: only such tiny cores could
+        lose a settled layer to the fold, and the scan then decides it.
         """
         components, port_node = self._components, self._port_node
-        n = len(self._adj)
+        n = self._internal.bit_count()
         # a port-port edge gives both its ports the node 0, so it fails too
         layered = (len(components) == 1 and components[0][1] is None
                    and len(set(port_node)) == len(port_node))
@@ -257,12 +363,13 @@ class _Membership:
         Kekulé state has the assignment with bit vector m; None past the
         budget set out below.
 
-        A frontier (transfer-matrix) DP over the internal nodes (Klein, Hite,
-        Seitz & Schmalz 1986), with sets of masks in place of counts: OR adds,
+        A frontier (transfer-matrix) DP over the nodes of the folded core
+        (Klein, Hite, Seitz & Schmalz 1986), with sets of masks in place of counts: OR adds,
         a shift by 2^j adds port j to every mask.  A state maps the later
         nodes already matched, the frontier, to the masks of the ports
         matched so far.  A node in the frontier leaves it; any other takes
-        a later neighbour outside the frontier or one of its ports.  Ports on
+        a later neighbour outside the frontier or one of its ports, which on
+        a merged node include the ports of the nodes merged into it.  Ports on
         port-port edges stay out of the DP: each such edge is taken or not
         whatever the rest of the state does, so a shift by its two ports
         then copies every mask.
@@ -277,13 +384,14 @@ class _Membership:
         a scan.
 
         The budget prices each state at its set (as many bits as the largest
-        mask so far, plus one), its key (one bit per internal node) and about
+        mask so far, plus one), its key (one bit per node) and about
         128 bytes of dictionary entry and int headers, and is checked as the
         states of a step are made.  The DP also gives up once its steps, one
         per state and candidate partner and one per boundary node a choice
         scans, pass what the scan of the parity class that :func:`_realized`
         falls back to costs: 2^(k-1) probes for k ports, each priced at 4n
-        steps over n internal nodes, as its matching search visits each free
+        steps over the n nodes of the folded core, as its matching search
+        visits each free
         node a few times, plus one step per state the budget holds at its
         overhead alone.  So a wide frontier with few ports costs little more
         here than there, and a chain, at up to four steps per node, stays on
@@ -296,7 +404,7 @@ class _Membership:
                 shifts[node.bit_length() - 1].append(1 << j)
         if sum(map(sum, shifts)) + sum(self._port_pairs) >= _DP_BITS:
             return None  # the final set alone would pass the budget
-        n, k = len(adj), len(self._port_node)
+        n, k = self._internal.bit_count(), len(self._port_node)
         overhead = n + 1024
         steps = _DP_BITS // overhead + (4 * n << k >> 1)
         states = {0: 1}
@@ -367,13 +475,14 @@ class _Membership:
 
     def _completes(self, mask: int, covered: int) -> bool:
         """Whether a Kekulé state has the port assignment ``mask``, whose
-        port edges cover the internal nodes ``covered``, each once.
+        port edges cover the nodes ``covered`` of the folded core, each once.
 
-        The port-port edges must agree with ``mask``, and the free internal
-        nodes need a perfect matching.  Each component must keep an even
+        The port-port edges must agree with ``mask``, and the free nodes of
+        the folded core need a perfect matching, which they have exactly
+        when the free internal nodes of the graph have one.  Each component must keep an even
         number of them, as many of each colour where it is bipartite.  Then
         each free node has at least delta - (n - |free|) free neighbours, for
-        minimum internal degree delta over the n internal nodes; when that
+        minimum degree delta over the n nodes of the folded core; when that
         is at least |free| / 2, Dirac's condition of :meth:`_matchable`
         holds without a scan.
         """
@@ -392,7 +501,8 @@ class _Membership:
         return self._degree_cut + free.bit_count() >= 0 or self._matchable(free)
 
     def _matchable(self, free: int) -> bool:
-        """Whether the internal nodes in ``free`` have a perfect matching.
+        """Whether the nodes in ``free`` of the folded core have a perfect
+        matching.
 
         Depth-first over free masks.  A step scans for the free node with
         the fewest free neighbours.  With two or more it branches on them,

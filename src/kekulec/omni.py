@@ -2,15 +2,19 @@
 plus the constructive families A_n, Delta_n, and the basic model B.
 
 :func:`is_omniconjugated` decides the parity class one cardinality layer at a
-time and stops at the first missing assignment.  Where the internal core is
-one non-bipartite component with each port on its own node, every assignment
-with j ports leaves the same free nodes, and an O(1) degree cut settles the
-layer whole (``_Membership.layers``): when the internal minimum degree leaves
-each free node at least half of them as neighbours, Dirac's theorem (1952)
-gives a Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3)
-every layer settles and no assignment is probed.  An unsettled layer is
-decided mask by mask in member order (``_Membership.scan_layer``), one
-compiled probe per mask.
+time and stops at the first missing assignment.  It works on the compiled
+core, folded by the merge law (``_Membership._fold``): each portless node
+with two internal neighbours goes and merges them, so the chain of A_n folds
+to at most two nodes, and Delta_n, with a port on every node, folds nothing.
+Where the folded core is one non-bipartite component with each port on its
+own node, every assignment with j ports leaves the same number of free
+nodes, and an O(1) degree cut settles the layer whole
+(``_Membership.layers``): when the core's minimum degree leaves each free
+node at least half of them as neighbours, Dirac's theorem (1952) gives a
+Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3) every
+layer settles and no assignment is probed.  An unsettled layer is decided
+mask by mask in member order (``_Membership.scan_layer``), one compiled
+probe per mask.
 :func:`realized_assignment_count` is the size of the Kekulé cell, read off
 the one bitset that :func:`~kekulec.kekule.kekule_cell` decodes
 (``kekule._realized``).

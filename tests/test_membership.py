@@ -241,12 +241,6 @@ def probe_cell(g):
     return closure(member, channel_moves(len(g.ports)), _Membership(g))
 
 
-def internal_order(g):
-    """The internal nodes in the compiled form's numbering: a stable sort
-    of the label-ordered internal nodes by degree."""
-    return sorted(g.internal, key=g.degree.__getitem__)
-
-
 def dp_cell(g):
     """The cell by the frontier DP, read bit by bit; None over budget."""
     realized = _Membership(g).realized()
@@ -633,22 +627,36 @@ def test_port_pair_fold_past_the_budget_falls_back(monkeypatch):
 
 # -- the omniconjugation scans: the min-degree cut and the counting route ----------
 
-def free_mask_matchable(g, free):
-    """Whether the internal nodes in ``free`` have a perfect matching, by
-    networkx's blossom search on the induced subgraph."""
-    nodes = [v for i, v in enumerate(internal_order(g)) if free >> i & 1]
+def bits(mask):
+    """The set bits of ``mask`` as node numbers, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def core_edges(probe, free):
+    """The edges of the compiled (folded) core between nodes in ``free``."""
+    return {(i, j) for i in bits(free) for j in bits(probe._adj[i] & free) if i < j}
+
+
+def free_mask_matchable(probe, free):
+    """Whether the core nodes in ``free`` have a perfect matching, by
+    networkx's blossom search on the subgraph of the compiled core."""
     sub = nx.Graph()
-    sub.add_nodes_from(nodes)
-    sub.add_edges_from((u, v) for u, v in g.edges if u in sub and v in sub)
-    return 2 * len(nx.max_weight_matching(sub, maxcardinality=True)) == len(nodes)
+    sub.add_nodes_from(bits(free))
+    sub.add_edges_from(core_edges(probe, free))
+    return 2 * len(nx.max_weight_matching(sub, maxcardinality=True)) == free.bit_count()
 
 
 def assert_matchable_agrees(g):
-    """``_matchable`` on every even set of free internal nodes."""
+    """``_matchable`` on every even set of free nodes of the compiled core."""
     probe = _Membership(g)
-    for free in range(1 << len(g.internal)):
+    core = probe._internal
+    free = core
+    while True:  # every subset of the core, from the whole core down
         if free.bit_count() % 2 == 0:
-            assert probe._matchable(free) == free_mask_matchable(g, free), (g.edges, free)
+            assert probe._matchable(free) == free_mask_matchable(probe, free), (g.edges, free)
+        if not free:
+            break
+        free = free - 1 & core
 
 
 def complete(labels):
@@ -660,15 +668,16 @@ def test_min_degree_cut_on_named_cores():
     k24 = [(u, v) for u in ("l1", "l2") for v in ("r1", "r2", "r3", "r4")]
     k33 = [(u, v) for u in ("l1", "l2", "l3") for v in ("r1", "r2", "r3")]
     square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
-    # s = 6 and minimum degree 2 in the first three: the cut must not fire, and
-    # only the bridged triangles have a perfect matching
+    # the fold leaves one isolated node per triangle, a three-leaf star of
+    # K_{2,4} and one edge of the bridged triangles: only the last has a
+    # perfect matching, as before the fold
     for edges, want in ((triangles, False), (k24, False), (triangles + [("a", "x")], True),
                         (k33, True), (square, True), (complete("abcd"), True),
                         (complete("abcdef"), True)):
         g = Graph(edges)
         assert g.ports == ()
         probe = _Membership(g)
-        assert probe._matchable((1 << len(g.internal)) - 1) is want, edges
+        assert probe._matchable(probe._internal) is want, edges
         assert_matchable_agrees(g)
 
 
@@ -815,8 +824,8 @@ def brute_force_matchable(nodes, edges):
 
 @st.composite
 def dense_free_sets(draw):
-    """A dense graph, its compiled form, and an even set of free internal
-    nodes large enough for the degree cut to fire where it can."""
+    """A dense graph, its compiled form, and an even set of free nodes of
+    its compiled core large enough for the degree cut to fire where it can."""
     n = draw(st.integers(4, 10))
     missing = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                            max_size=n // 2))
@@ -824,10 +833,11 @@ def dense_free_sets(draw):
              if (i, j) not in missing and (j, i) not in missing]
     g = Graph(edges)
     probe = _Membership(g)
-    m = len(g.internal)
+    core = bits(probe._internal)
+    m = len(core)
     least = max(0, -probe._degree_cut)
     size = draw(st.sampled_from(range(least + least % 2, m + 1, 2) or [m - m % 2]))
-    free = sum(1 << i for i in draw(st.permutations(range(m)))[:size])
+    free = sum(1 << i for i in draw(st.permutations(core))[:size])
     return g, probe, free
 
 
@@ -839,9 +849,8 @@ def test_degree_cut_only_fires_on_matchable_free_sets(case):
                    else 2 * (free & comp & colour).bit_count() == (free & comp).bit_count()
                    for comp, colour in probe._components)
     if balanced and probe._degree_cut + free.bit_count() >= 0:
-        nodes = [v for i, v in enumerate(internal_order(g)) if free >> i & 1]
-        assert brute_force_matchable(nodes, set(g.edges)), (g.edges, nodes)
-        assert probe._completes(0, (1 << len(g.internal)) - 1 & ~free)
+        assert brute_force_matchable(bits(free), core_edges(probe, free)), (g.edges, free)
+        assert probe._completes(0, probe._internal & ~free)
 
 
 # -- settled layers -----------------------------------------------------------------
@@ -1189,3 +1198,112 @@ def test_scan_price_admits_up_to_twenty_five_ports(monkeypatch):
         kekule_cell(g)
     with pytest.raises(KekulecError, match=r"2\^25 probes"):
         kekule_cell(caterpillar(13))
+
+
+# -- the merge-law fold of the compiled core ------------------------------------------
+#
+# The compile folds every portless node with two internal neighbours into a
+# merge of those neighbours.  The references below never see the fold: the
+# cover search of ``kekule_states_for`` and networkx's blossom search both
+# work on the graph as given.
+
+def folded_away(g):
+    """How many internal nodes the compile folded away."""
+    return len(g.internal) - _Membership(g)._internal.bit_count()
+
+
+def test_fold_keeps_every_verdict_on_folding_atlas_graphs():
+    folding = [g for g in atlas_graphs() if folded_away(g)]
+    assert len(folding) >= 700
+    for g in folding:
+        assert_probe_agrees(g)
+
+
+def test_fold_keeps_every_verdict_on_random_graphs_with_ports():
+    rng = random.Random(51)
+    checked = folding = 0
+    while checked < 2000:
+        g = random_connected_graph(rng, max_edges=20)
+        if g.ports:
+            assert_probe_agrees(g)
+            checked += 1
+            folding += folded_away(g) > 0
+    assert folding >= 1000
+
+
+def blossom_member(g, mask):
+    """Whether some Kekulé state has the assignment ``mask``, by networkx's
+    blossom search on the unfolded graph: the chosen ports cover their
+    nodes, each at most once, and the other internal nodes need a perfect
+    matching among themselves.  For graphs without port-port edges."""
+    taken = [g.neighbors(p)[0][0] for i, p in enumerate(g.ports) if mask >> i & 1]
+    if len(set(taken)) < len(taken):
+        return False
+    free = set(g.internal) - set(taken)
+    sub = nx.Graph()
+    sub.add_nodes_from(free)
+    sub.add_edges_from((u, v) for u, v in g.edges if u in free and v in free)
+    return 2 * len(nx.max_weight_matching(sub, maxcardinality=True)) == len(free)
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_fold_agrees_with_blossom_on_large_hex_patches(m):
+    g = hex_patch(m, m, 16, random.Random(1))
+    assert all(g.degree[g.neighbors(p)[0][0]] > 1 for p in g.ports)
+    assert folded_away(g) >= 40
+    probe = _Membership(g)
+    masks = random.Random(m).sample(list(ordered_masks(16, signature(g))), 200)
+    verdicts = [probe(mask) for mask in masks]
+    assert verdicts == [blossom_member(g, mask) for mask in masks]
+    assert 20 <= sum(verdicts) <= 180
+
+
+@pytest.mark.parametrize("edges, masks", [
+    # folding the cycle v0-v2-v3-v6-v5 leaves v0 alone with both ports
+    ([("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v2", "v3"), ("v3", "v6"),
+      ("v5", "v6")], {0b01, 0b10}),
+    # folding v4 moves the port of v0 onto v3, which then has two internal
+    # neighbours, v1 and v2, and must stay; folding v1 leaves v3 alone
+    ([("v0", "v4"), ("v0", "v5"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v3", "v4")],
+     {0b1}),
+], ids=["two-ports", "triangle-tail"])
+def test_fold_skips_a_node_given_a_port_by_a_merge(edges, masks):
+    g = Graph(edges)
+    assert kekule_cell(g).masks == masks == oracle_masks(g)
+    probe = _Membership(g)
+    assert probe._internal.bit_count() == 1
+    assert probe._port_node == [probe._internal] * len(g.ports)
+    assert_probe_agrees(g)
+
+
+@pytest.mark.parametrize("n", [300, 700, 1200, 2000])
+def test_fold_leaves_at_most_two_nodes_of_a_chain(n):
+    g = make_A(n)
+    probe = _Membership(g)
+    assert probe._internal.bit_count() <= 2
+    assert all(node & probe._internal for node in probe._port_node)
+    assert probe.realized() == 1 | 1 << 0b11
+
+
+def test_fold_leaves_dense_cores_whole():
+    cores = [make_delta(n) for n in range(2, 21)]
+    cores += [Graph(complete([f"v{i}" for i in range(n)])) for n in range(4, 11)]
+    cores += [pendant_form([(f"u{i}", f"u{j}") for i in range(n) for j in range(i + 1, n)
+                            if not (i % 2 == 0 and j == i + 1)]) for n in range(6, 11, 2)]
+    for g in cores:
+        assert folded_away(g) == 0, g.edges
+    for n in range(3, 21):
+        assert settled_layers(make_delta(n)) == list(range(n % 2, n + 1, 2))
+
+
+def test_fold_of_a_broom_keeps_the_hub_with_every_port():
+    # a hub with 5000 arms hub-x-y-port: each fold absorbs y, of degree 1,
+    # into the hub, so only y's adjacency is walked
+    arms = 5000
+    g = Graph([edge for i in range(arms) for edge in
+               (("hub", f"x{i:04d}"), (f"x{i:04d}", f"y{i:04d}"), (f"y{i:04d}", f"p{i:04d}"))])
+    assert len(g.internal) == 2 * arms + 1 and len(g.ports) == arms
+    probe = _Membership(g)
+    assert probe._internal.bit_count() == 1
+    assert probe._port_node == [probe._internal] * arms
+    assert probe(1 << 1234) and not probe(0) and not probe(0b11)
