@@ -375,6 +375,10 @@ def parse_document(text: str) -> GraphDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ParseError("JSON nests too deeply to parse") from None
+    except ValueError:  # an integer literal past Python's int-string digit limit
+        raise ParseError("JSON integer literal has too many digits to parse") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if "edges" not in doc:

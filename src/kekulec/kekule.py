@@ -24,7 +24,10 @@ a matching search.  Where the core is one non-bipartite component with each
 port on its own node, as in Delta_n, every assignment with j ports leaves
 the same number of free nodes, so that cut settles a whole cardinality
 layer at once (:meth:`_Membership.layers`) and its assignments are never
-probed one by one.
+probed one by one.  The entry points take their probe from :func:`_compiled`,
+which keeps the last graph compiled and its probe, keyed by identity, so a
+run of calls on one ``Graph`` object, as a verdict then a count, compiles it
+once.
 
 The cell itself needs no enumeration, and no first state either.  By the
 parity law every state touches as many ports, mod 2, as there are internal
@@ -162,7 +165,9 @@ class _Membership:
     free nodes.  ``scan_layer(j)`` makes that call for every mask with j
     ports in member order; ``layers(parity)`` names the layers whose
     masks are all members without probing any of them, and ``realized()``
-    gives every realized mask at once.
+    gives every realized mask at once.  The compile, fold included, runs in
+    the constructor, and no method changes the probe after it, so
+    :func:`_compiled` can hand one probe to every call on its graph.
     """
 
     __slots__ = ("_adj", "_internal", "_port_node", "_port_pairs", "_degree_cut",
@@ -560,6 +565,28 @@ class _Membership:
         return True
 
 
+# the last graph _compiled compiled and its probe, read once and replaced whole
+_last: tuple[Graph | None, _Membership | None] = (None, None)
+
+
+def _compiled(g: Graph) -> _Membership:
+    """The compiled probe of ``g``, shared with the previous call when that
+    was made on the same object.
+
+    One entry, keyed by identity: a run of calls on one ``Graph`` object,
+    such as a verdict and a count, or a probe per mask, compiles it once.
+    An equal but distinct graph compiles again.  Sharing is safe as nothing
+    changes a probe after its compile, and the entry keeps its graph alive,
+    so no later object can take its identity.
+    """
+    global _last
+    graph, probe = _last
+    if graph is not g:
+        probe = _Membership(g)
+        _last = (g, probe)
+    return probe
+
+
 def enumerate_kekule_states(g: Graph, allow_large: bool = False) -> list[EdgeSubset]:
     """All Kekulé states, ordered by edge bit vector."""
     _check_scale(g, allow_large)
@@ -596,7 +623,7 @@ def has_kekule_state_for(g: Graph, a: Assignment) -> bool:
     """Existence version of :func:`kekule_states_for`, decided by one
     compiled membership probe instead of a state search."""
     _require_graph_assignment(g, a)
-    return _Membership(g)(a.mask)
+    return _compiled(g)(a.mask)
 
 
 def _realized(g: Graph, allow_large: bool) -> int:
@@ -622,8 +649,8 @@ def _realized(g: Graph, allow_large: bool) -> int:
     parity = signature(g)
     if k < 2:
         # the one mask of the class is the parity; with no port an odd one has none
-        return 1 << parity if parity <= k and _Membership(g)(parity) else 0
-    probe = _Membership(g)
+        return 1 << parity if parity <= k and _compiled(g)(parity) else 0
+    probe = _compiled(g)
     layers = list(probe.layers(parity))
     open_layers = [j for j, settled in layers if not settled]
     if len(open_layers) == len(layers):

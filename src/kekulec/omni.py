@@ -17,7 +17,10 @@ mask by mask in member order (``_Membership.scan_layer``), one compiled
 probe per mask.
 :func:`realized_assignment_count` is the size of the Kekulé cell, read off
 the one bitset that :func:`~kekulec.kekule.kekule_cell` decodes
-(``kekule._realized``).
+(``kekule._realized``).  Both take the probe from ``kekule._compiled``,
+which shares the last compile with the next call on the same object, so a
+verdict then a count on one graph, as ``kekulec omni`` makes them, compiles
+it once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import combinations
 from .cells import Assignment
 from .errors import KekulecError
 from .graph import Graph, signature
-from .kekule import _Membership, _realized
+from .kekule import _compiled, _realized
 from .transform import add_internal_edge
 
 _PORT_CAP = 20
@@ -54,7 +57,7 @@ def is_omniconjugated(g: Graph) -> OmniVerdict:
         raise KekulecError("omniconjugation requires at least two ports")
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
-    probe = _Membership(g)
+    probe = _compiled(g)
     for j, settled in probe.layers(signature(g)):
         if not settled:
             for mask, realized in probe.scan_layer(j):

@@ -711,3 +711,40 @@ def test_no_argv_raises_out_of_main(graph_file, capsys, monkeypatch, tmp_path,
         argv += ["--max-edges", str(max_edges), "--random-count", str(random_count)]
     code, _, _ = run(capsys, *argv)
     assert code in (0, 1, 2)
+
+
+# nesting past the decoder's recursion and an integer literal past Python's
+# int-string digit limit, each with its one line; malformed JSON keeps its text
+PATHOLOGICAL_JSON = {
+    "deep-array": ("[" * 100_000, "error: JSON nests too deeply to parse"),
+    "deep-unknown-key": ('{"edges": [["p0", "p1"]], "x": ' + "[" * 2000 + "]" * 2000 + "}",
+                         "error: JSON nests too deeply to parse"),
+    "long-int": ('{"edges": [["p0", "p1"]], "x": ' + "7" * 5000 + "}",
+                 "error: JSON integer literal has too many digits to parse"),
+    "malformed": ("{nope", "error: invalid JSON: Expecting property name enclosed in "
+                  "double quotes: line 1 column 2 (char 1)"),
+}
+
+
+@pytest.mark.parametrize("name", PATHOLOGICAL_JSON)
+@pytest.mark.parametrize("command", [["cell"], ["transform", "--glue", "<bad>:p0,p1"]])
+def test_pathological_json_is_one_line_error(graph_file, capsys, tmp_path, command, name):
+    text, message = PATHOLOGICAL_JSON[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    argv = [command[0], graph_file("ethene3") if len(command) > 1 else str(bad)]
+    argv += [a.replace("<bad>", str(bad)) for a in command[1:]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("name", ["deep-array", "long-int"])
+def test_pathological_json_in_a_child_process(tmp_path, name):
+    import subprocess
+    import sys
+    text, message = PATHOLOGICAL_JSON[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "kekulec", "cell", str(bad)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")

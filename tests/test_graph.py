@@ -216,6 +216,27 @@ def test_parse_document_must_be_object():
         parse_document('{"edges": 5}')
 
 
+# nesting past the decoder's recursion, at the top or under an unknown key,
+# and integer literals past Python's int-string digit limit
+PATHOLOGICAL_JSON = {
+    "deep-array": ("[" * 100_000, "JSON nests too deeply to parse"),
+    "deep-unknown-key": ('{"edges": [["a", "b"]], "x": ' + "[" * 2000 + "]" * 2000 + "}",
+                         "JSON nests too deeply to parse"),
+    "long-int": ('{"edges": [["a", "b"]], "x": ' + "7" * 5000 + "}",
+                 "JSON integer literal has too many digits to parse"),
+    "long-negative-int-edge": ('{"edges": [["a", -' + "7" * 5000 + "]]}",
+                               "JSON integer literal has too many digits to parse"),
+}
+
+
+@pytest.mark.parametrize("name", PATHOLOGICAL_JSON)
+def test_parse_document_refuses_pathological_json(name):
+    text, message = PATHOLOGICAL_JSON[name]
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("key", ["channels", "sockets"])
 @pytest.mark.parametrize("value", [[1], [["p0", "p1"]], "A", 3, True])
 def test_parse_document_named_pairs_must_be_object(key, value):

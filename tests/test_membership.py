@@ -12,6 +12,7 @@ exactly the assignments of the enumerated states.
 """
 
 import functools
+import itertools
 import random
 import time
 import tracemalloc
@@ -142,9 +143,10 @@ def test_cell_agrees_with_port_port_edges():
     assert_cell_agrees(PORT_PAIR_GRAPH)
 
 
-@pytest.mark.parametrize("g", [hex_patch(3, 3, 8, random.Random(4)), make_delta(5), make_A(4),
-                               PORT_PAIR_GRAPH], ids=["hex3x3", "delta5", "a4", "port-pair"])
-def test_one_compile_per_cell_and_count(g, monkeypatch):
+def compiles(monkeypatch):
+    """The graphs ``_Membership`` compiles from here on, in order, with the
+    memo of ``kekule._compiled`` emptied first."""
+    monkeypatch.setattr(kekule, "_last", (None, None))
     compiled = []
     init = _Membership.__init__
 
@@ -153,10 +155,113 @@ def test_one_compile_per_cell_and_count(g, monkeypatch):
         init(self, graph)
 
     monkeypatch.setattr(_Membership, "__init__", counted)
-    for count in (kekule_cell, realized_assignment_count):
-        compiled.clear()
-        count(g)
-        assert compiled == [g], count.__name__
+    return compiled
+
+
+COMPILE_GRAPHS = pytest.mark.parametrize(
+    "g", [hex_patch(3, 3, 8, random.Random(4)), make_delta(5), make_A(4), PORT_PAIR_GRAPH],
+    ids=["hex3x3", "delta5", "a4", "port-pair"])
+
+
+@COMPILE_GRAPHS
+def test_one_compile_per_cell_and_count(g, monkeypatch):
+    # a run of calls on one Graph object compiles it once: the first call
+    # compiles, the second shares its probe
+    compiled = compiles(monkeypatch)
+    kekule_cell(g)
+    assert list(map(id, compiled)) == [id(g)]
+    compiled.clear()
+    realized_assignment_count(g)
+    assert compiled == []
+
+
+@COMPILE_GRAPHS
+def test_one_compile_per_verdict_and_count(g, monkeypatch):
+    compiled = compiles(monkeypatch)
+    is_omniconjugated(g)
+    realized_assignment_count(g)
+    assert list(map(id, compiled)) == [id(g)]
+
+
+def test_an_equal_graph_compiles_again(monkeypatch):
+    g = hex_patch(3, 3, 8, random.Random(4))
+    twin = Graph(g.edges)
+    assert twin == g and twin is not g
+    compiled = compiles(monkeypatch)
+    realized_assignment_count(g)
+    realized_assignment_count(twin)
+    assert list(map(id, compiled)) == [id(g), id(twin)]
+
+
+def test_the_memo_holds_one_graph(monkeypatch):
+    g1, g2 = make_delta(5), make_A(4)
+    compiled = compiles(monkeypatch)
+    for g in (g1, g2, g1):
+        kekule_cell(g)
+    assert list(map(id, compiled)) == [id(g1), id(g2), id(g1)]
+
+
+def test_one_compile_per_probe_loop(monkeypatch):
+    g = hex_patch(3, 3, 10, random.Random(5))
+    compiled = compiles(monkeypatch)
+    members = {mask for mask in range(1 << 10) if has_kekule_state_for(g, Assignment(g.ports, mask))}
+    assert list(map(id, compiled)) == [id(g)]
+    assert members == kekule_cell(g).masks
+
+
+def entry_points(g, masks, before=lambda: None):
+    """One call of each membership entry point on ``g``, a result at a time,
+    with ``before()`` run ahead of each call."""
+    before()
+    yield kekule_cell(g).masks
+    before()
+    yield realized_assignment_count(g)
+    if len(g.ports) >= 2:
+        before()
+        yield is_omniconjugated(g)
+    for mask in masks:
+        before()
+        yield has_kekule_state_for(g, Assignment(g.ports, mask))
+
+
+def assert_shared_probe_agrees(graphs, seed, monkeypatch):
+    """The entry points interleaved over each graph, an equal copy of it,
+    the next graph and the graph again, each result against the same call
+    after a memo reset, and each probe against the state search."""
+    rng = random.Random(seed)
+
+    def reset():
+        monkeypatch.setattr(kekule, "_last", (None, None))
+
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        run = [g, Graph(g.edges), other, g]
+        masks = [range(1 << len(h.ports)) if len(h.ports) <= 3
+                 else rng.sample(range(1 << len(h.ports)), 8) for h in run]
+        # round-robin over the four runs, so the calls alternate between graphs
+        results = [[] for _ in run]
+        for step in itertools.zip_longest(*map(entry_points, run, masks)):
+            for out, result in zip(results, step):
+                out.append(result)
+        for h, sample, out in zip(run, masks, results):
+            fresh = list(entry_points(h, sample, reset))
+            assert out[:len(fresh)] == fresh, h.edges
+            assert fresh[1] == len(fresh[0])
+            for mask, member in zip(sample, fresh[len(fresh) - len(sample):]):
+                assert member == bool(kekule_states_for(h, Assignment(h.ports, mask))), h.edges
+
+
+def test_shared_probe_agrees_on_the_atlas(monkeypatch):
+    assert_shared_probe_agrees([g for g in atlas_graphs() if g.ports], 21, monkeypatch)
+
+
+def test_shared_probe_agrees_on_random_graphs(monkeypatch):
+    rng = random.Random(22)
+    graphs = []
+    while len(graphs) < 1000:
+        g = random_connected_graph(rng, max_edges=14)
+        if g.ports:
+            graphs.append(g)
+    assert_shared_probe_agrees(graphs, 23, monkeypatch)
 
 
 def test_state_searches_compile_no_probe(monkeypatch):
