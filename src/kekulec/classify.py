@@ -15,7 +15,7 @@ maps it onto its base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .cells import Assignment, Cell, diameter, is_flexible, ordered_masks, parity_space
 from .errors import CellError, KekulecError
@@ -147,8 +147,8 @@ def classify_cell(cell: Cell) -> Classification:
     if not is_flexible(cell):
         raise KekulecError("classification requires a flexible cell; apply flex first")
 
-    masks = sorted(cell.masks)
-    if any((x ^ y).bit_count() % 2 for x, y in combinations(masks, 2)):
+    # members at odd distance differ in port-count parity
+    if len({m.bit_count() & 1 for m in cell.masks}) > 1:
         return _NOT_KEKULE
 
     d = diameter(cell)

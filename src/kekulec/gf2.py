@@ -1,4 +1,5 @@
-"""Linear algebra over the two-element field on bit-packed vectors.
+"""Linear algebra over the two-element field on bit-packed vectors: one
+solution of an affine system, rank and independence, and span enumeration.
 
 Vectors are Python ints (bit i = coordinate i), so XOR is word-level and
 elimination is branch-light.  Pivoting always picks the lowest set bit,
@@ -7,24 +8,17 @@ which makes every result deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    """Solution set of an affine system: ``particular ^ span(kernel_basis)``."""
+def solve_affine(rows: Sequence[int], rhs: Sequence[int], width: int) -> int | None:
+    """One solution of ``A x = b`` over GF(2), by Gauss-Jordan elimination.
 
-    particular: int
-    kernel_basis: tuple[int, ...]
-
-
-def solve_affine(rows: Sequence[int], rhs: Sequence[int], width: int) -> AffineSolution | None:
-    """Solve ``A x = b`` over GF(2) by Gauss-Jordan elimination.
-
-    ``rows[i]`` is the coefficient mask of equation i, ``rhs[i]`` its parity
-    bit.  Returns None when inconsistent.  Free variables are set to 0 in the
-    particular solution; the kernel basis is ordered by free column.
+    ``rows[i]`` is the coefficient mask of equation i over ``width``
+    variables, ``rhs[i]`` its parity bit.  Returns the solution with every
+    free variable 0, or None when the system is inconsistent.  No kernel
+    basis is built: the semi-Kekulé kernel is spanned by cycles
+    (:func:`~kekulec.semikekule.hsk_basis`).
     """
     # invariant: every pivot row holds its own column plus free columns only,
     # so one pass over the pivots fully reduces an incoming row
@@ -48,16 +42,7 @@ def solve_affine(rows: Sequence[int], rhs: Sequence[int], width: int) -> AffineS
     for col, (_, b) in pivots.items():
         if b:
             particular |= 1 << col
-    basis = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for col, (prow, _) in pivots.items():
-            if prow >> f & 1:
-                v |= 1 << col
-        basis.append(v)
-    return AffineSolution(particular, tuple(basis))
+    return particular
 
 
 def rank(vectors: Sequence[int]) -> int:

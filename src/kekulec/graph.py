@@ -23,6 +23,13 @@ def normalize_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def _excerpt(value) -> str:
+    """``repr(value)`` for an error line, cut to 80 characters: a malformed
+    value may be as long as its document."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class Graph:
     """Immutable undirected graph with a canonical node and edge ordering.
 
@@ -42,11 +49,11 @@ class Graph:
             try:
                 u, v = pair if type(pair) is tuple or type(pair) is list else ()
             except (TypeError, ValueError):
-                raise ParseError(f"malformed edge {pair!r}") from None
+                raise ParseError(f"malformed edge {_excerpt(pair)}") from None
             if not isinstance(u, str) or not u:
-                raise ParseError(f"malformed label {u!r}")
+                raise ParseError(f"malformed label {_excerpt(u)}")
             if not isinstance(v, str) or not v:
-                raise ParseError(f"malformed label {v!r}")
+                raise ParseError(f"malformed label {_excerpt(v)}")
             if u == v:
                 raise ParseError(f"self-loop at node '{u}'")
             e = (u, v) if u < v else (v, u)
@@ -223,10 +230,14 @@ def cycle_rank(g: Graph) -> int:
 
 # -- curves ------------------------------------------------------------------
 
+def _require_same_graph(g: Graph, w: EdgeSubset) -> None:
+    if w.graph != g:
+        raise KekulecError("edge subset belongs to a different graph")
+
+
 def is_curve(g: Graph, c: EdgeSubset) -> bool:
     """True iff every node of ``c`` that is internal in ``g`` has degree 2 in ``c``."""
-    if c.graph != g:
-        raise KekulecError("subset belongs to a different graph")
+    _require_same_graph(g, c)
     mask, incidence = c.mask, g._incidence
     for n in g.internal:
         if (mask & incidence[n]).bit_count() not in (0, 2):
@@ -343,9 +354,9 @@ class GraphDocument:
 def _pair_of_strings(value, what: str) -> tuple[str, str]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, str) and x for x in value)):
-        raise ParseError(f"malformed {what} {value!r}")
+        raise ParseError(f"malformed {what} {_excerpt(value)}")
     if value[0] == value[1]:
-        raise ParseError(f"{what} endpoints must differ: {value!r}")
+        raise ParseError(f"{what} endpoints must differ: {_excerpt(value)}")
     return (value[0], value[1])
 
 
@@ -400,7 +411,7 @@ def parse_document(text: str) -> GraphDocument:
     if doc.get("initial") is not None:
         raw = doc["initial"]
         if not isinstance(raw, list) or not all(isinstance(x, str) and x for x in raw):
-            raise ParseError(f"malformed initial assignment {raw!r}")
+            raise ParseError(f"malformed initial assignment {_excerpt(raw)}")
         if len(set(raw)) != len(raw):
             raise ParseError("duplicate label in initial assignment")
         initial = tuple(sorted(raw))

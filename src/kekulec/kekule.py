@@ -54,7 +54,8 @@ from typing import Iterator
 from . import gf2
 from .cells import Assignment, Cell, channel, layer_masks
 from .errors import KekulecError
-from .graph import EdgeSubset, Graph, curve_components, cycle_rank, is_curve, signature
+from .graph import (EdgeSubset, Graph, _require_same_graph, curve_components, cycle_rank,
+                    is_curve, signature)
 
 _RANK_CAP = 24
 # the frontier DP of _Membership.realized gives up past this many bits (8 MB)
@@ -82,11 +83,6 @@ def _check_port_pairs(count: int, allow_large: bool) -> None:
     if count > _RANK_CAP and not allow_large:
         raise KekulecError(
             f"2^{count} free port-port edges exceed 2^{_RANK_CAP}; {_OVERRIDE}")
-
-
-def _require_same_graph(g: Graph, w: EdgeSubset) -> None:
-    if w.graph != g:
-        raise KekulecError("edge subset belongs to a different graph")
 
 
 def is_kekule_state(g: Graph, w: EdgeSubset) -> bool:
@@ -163,7 +159,7 @@ class _Membership:
     ports, cuts on per-component parity (and on colour balance where a
     component is bipartite), then searches for a perfect matching of the
     free nodes.  ``scan_layer(j)`` makes that call for every mask with j
-    ports in member order; ``layers(parity)`` names the layers whose
+    ports in member order; ``layers()`` names the layers whose
     masks are all members without probing any of them, and ``realized()``
     gives every realized mask at once.  The compile, fold included, runs in
     the constructor, and no method changes the probe after it, so
@@ -339,16 +335,19 @@ class _Membership:
         """``(mask, self(mask))`` for every mask with ``j`` ports, in member order."""
         return ((mask, self(mask)) for mask in layer_masks(len(self._port_node), j))
 
-    def layers(self, parity: int) -> Iterator[tuple[int, bool]]:
-        """``(j, settled)`` for every port count j of the given parity,
-        ascending; ``settled`` when every mask with j ports is a member,
-        decided for the whole layer without a probe.
+    def layers(self) -> Iterator[tuple[int, bool]]:
+        """``(j, settled)`` for every port count j of the parity class of
+        :func:`~kekulec.graph.signature`, ascending; ``settled`` when every
+        mask with j ports is a member, decided for the whole layer without a
+        probe.  The class is the parity of ``len(_adj)``, the internal nodes
+        before the fold; each fold step drops two nodes, so every mask of
+        the class leaves an even number of the n folded nodes free.
 
-        A layer can settle when the n nodes of the folded core form one
-        non-bipartite component and every port hangs on its own node.  Then
-        every mask with j ports leaves the same n - j free nodes of n, so the
-        parity cut and the degree cut of :meth:`_completes` decide all of
-        them alike; with no free node left the empty matching completes.
+        A layer can settle when the folded core forms one non-bipartite
+        component and every port hangs on its own node.  Then every mask
+        with j ports leaves the same n - j free nodes of n, so the degree
+        cut of :meth:`_completes` decides all of them alike; with no free
+        node left the empty matching completes.
         Ports that share a merged node unsettle every layer.  A core that
         folds has a node of degree 2, so before the fold its degree cut
         settled layer j only on n <= 4 - j nodes: only such tiny cores could
@@ -359,9 +358,8 @@ class _Membership:
         # a port-port edge gives both its ports the node 0, so it fails too
         layered = (len(components) == 1 and components[0][1] is None
                    and len(set(port_node)) == len(port_node))
-        for j in range(parity, len(port_node) + 1, 2):
-            yield j, (layered and not (n - j) & 1
-                      and (self._degree_cut + n - j >= 0 or j == n))
+        for j in range(len(self._adj) & 1, len(port_node) + 1, 2):
+            yield j, layered and (self._degree_cut + n - j >= 0 or j == n)
 
     def realized(self) -> int | None:
         """The set of realized port masks as one int, bit m set iff some
@@ -651,7 +649,7 @@ def _realized(g: Graph, allow_large: bool) -> int:
         # the one mask of the class is the parity; with no port an odd one has none
         return 1 << parity if parity <= k and _compiled(g)(parity) else 0
     probe = _compiled(g)
-    layers = list(probe.layers(parity))
+    layers = list(probe.layers())
     open_layers = [j for j, settled in layers if not settled]
     if len(open_layers) == len(layers):
         realized = probe.realized()

@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .cells import Assignment
 from .errors import KekulecError
-from .graph import Graph, signature
+from .graph import Graph
 from .kekule import _compiled, _realized
 from .transform import add_internal_edge
 
@@ -58,7 +58,7 @@ def is_omniconjugated(g: Graph) -> OmniVerdict:
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
     probe = _compiled(g)
-    for j, settled in probe.layers(signature(g)):
+    for j, settled in probe.layers():
         if not settled:
             for mask, realized in probe.scan_layer(j):
                 if not realized:

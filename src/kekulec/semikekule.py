@@ -11,14 +11,14 @@ from __future__ import annotations
 from . import gf2
 from .cells import Assignment
 from .errors import KekulecError
-from .graph import EdgeSubset, Graph, cycle_basis, cycle_rank, is_connected, signature
+from .graph import (EdgeSubset, Graph, _require_same_graph, cycle_basis, cycle_rank,
+                    is_connected, signature)
 from .kekule import _require_graph_assignment, is_kekule_state
 
 
 def is_semi_kekule(g: Graph, w: EdgeSubset) -> bool:
     """True iff every internal node has odd degree in ``w``."""
-    if w.graph != g:
-        raise KekulecError("edge subset belongs to a different graph")
+    _require_same_graph(g, w)
     return all((w.mask & g.incidence_mask(v)).bit_count() % 2 == 1
                for v in g.internal)
 
@@ -45,9 +45,9 @@ def solve_semi_kekule(g: Graph, a: Assignment) -> EdgeSubset | None:
     for p in g.ports:
         rows.append(g.incidence_mask(p))
         rhs.append(1 if p in want else 0)
-    sol = gf2.solve_affine(rows, rhs, len(g.edges))
-    assert sol is not None, "parity-correct assignment must be solvable on a connected graph"
-    return EdgeSubset(g, sol.particular)
+    mask = gf2.solve_affine(rows, rhs, len(g.edges))
+    assert mask is not None, "parity-correct assignment must be solvable on a connected graph"
+    return EdgeSubset(g, mask)
 
 
 def hsk_basis(g: Graph) -> list[EdgeSubset]:

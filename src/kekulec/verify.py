@@ -326,7 +326,7 @@ def claim_kernel_span(bounds: Bounds) -> ClaimResult:
     assignments = 0
     graphs = bounds.random_count
     for _ in range(graphs):
-        g = random_bounded_graph(rng, max_edges=_cap(bounds, 16), work_limit=2048)
+        g = random_bounded_graph(rng, max_edges=_cap(bounds, 16))
         r = cycle_rank(g)
         basis = hsk_basis(g)
         if len(basis) != len(g.edges) + 1 - len(g.nodes):

@@ -231,6 +231,26 @@ def test_transform_requires_one_flag(graph_file, capsys):
     assert "usage error" in err
 
 
+def test_transform_subdivide(graph_file, capsys):
+    code, out, err = run(capsys, "transform", graph_file("a3"), "--subdivide", "a1")
+    assert code == 0
+    assert json.loads(out)["edges"] == [["a1", "a1#1"], ["a1#1", "a2"], ["a2", "a3"]]
+    assert err.splitlines()[:2] == ["operation: subdivide a1", "removed nodes: -"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--split", "a2", "usage error: --split expects node:nb1,nb2/nb3,..."),
+    ("--split", "a2:a1", "usage error: --split expects node:nb1,nb2/nb3,..."),
+    ("--add-edge", "a1", "usage error: --add-edge expects u,v"),
+    ("--add-edge", "a1,a2,a3", "usage error: --add-edge expects u,v"),
+    ("--glue", "other.json", "usage error: --glue expects other.json:p,q"),
+    ("--glue", "other.json:p", "usage error: --glue expects other.json:p,q"),
+])
+def test_transform_malformed_flag_is_usage_error(graph_file, capsys, flag, value, message):
+    code, out, err = run(capsys, "transform", graph_file("a3"), flag, value)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_builtin_list(capsys):
     code, out, _ = run(capsys, "builtin", "--list")
     assert code == 0
@@ -294,6 +314,22 @@ def test_verify_single_claim(capsys):
     code, out, _ = run(capsys, "verify", "--claims", "omni-families")
     assert code == 0
     assert out.startswith("PASS omni-families:")
+
+
+def test_verify_reports_a_failed_claim(capsys, monkeypatch):
+    from kekulec import Graph, verify
+
+    def fails(bounds):
+        return verify._fail("omni-paths", "forced failure", Graph([("p", "q")]))
+
+    claims = [(name, fails if name == "omni-paths" else fn) for name, fn in verify.CLAIMS]
+    monkeypatch.setattr(verify, "CLAIMS", claims)
+    code, out, _ = run(capsys, "verify", "--claims", "omni-families,omni-paths")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["FAIL omni-paths: forced failure",
+                         'counterexample: {"edges": [["p", "q"]]}']
+    assert len(lines) == 3 and lines[2].startswith("PASS omni-families:")
 
 
 def test_verify_respects_max_edges(capsys):
@@ -454,6 +490,39 @@ def test_simulate_script_without_kekule_state(graph_file, capsys, tmp_path,
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: graph has no Kekulé state"]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("channels", "error: graph has no Kekulé state"),
+    ("classify", "error: graph has no Kekulé state; nothing to classify"),
+])
+def test_command_without_kekule_state_is_domain_error(graph_file, capsys, no_state_graph,
+                                                      command, message):
+    path = graph_file("nostate", dumps_document(to_document(no_state_graph)))
+    code, out, err = run(capsys, command, path)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+# a malformed value as long as its document is cut to an excerpt in its one line
+LONG_MALFORMED = {
+    "label": ({"edges": [["a", [1] * 200_000]]},
+              "error: malformed label [1, 1, 1, "),
+    "initial": ({"edges": [["a", "b"], ["b", "c"]], "initial": [1] * 100_000},
+                "error: malformed initial assignment [1, 1, 1, "),
+    "channel": ({"edges": [["a", "b"], ["b", "c"]], "channels": {"x": ["a"] * 100_000}},
+                "error: malformed channel 'x' ['a', 'a', 'a', "),
+}
+
+
+@pytest.mark.parametrize("name", LONG_MALFORMED)
+def test_long_malformed_value_is_one_short_line(graph_file, capsys, name):
+    document, start = LONG_MALFORMED[name]
+    text = json.dumps(document, separators=(",", ":"))
+    assert len(text) >= 200_000
+    code, out, err = run(capsys, "cell", graph_file("long", text))
+    assert (code, out) == (1, "")
+    assert err.startswith(start) and err.endswith("...\n")
+    assert len(err.splitlines()) == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("command", [["cell"], ["transform", "--glue", "<bad>:p0,p1"]])

@@ -361,7 +361,7 @@ def takes_dp_route(g):
     if len(g.ports) < 2:
         return False
     probe = _Membership(g)
-    return (not all(settled for _, settled in probe.layers(signature(g)))
+    return (not all(settled for _, settled in probe.layers())
             and probe.realized() is not None)
 
 
@@ -824,7 +824,7 @@ def assert_counts_agree(g):
     count = realized_assignment_count(g)
     assert count == parity_scan_count(g) == len(kekule_cell(g, allow_large=True)), g.edges
     probe = _Membership(g)
-    return (not any(settled for _, settled in probe.layers(signature(g)))
+    return (not any(settled for _, settled in probe.layers())
             and probe.realized() is not None)
 
 
@@ -966,9 +966,8 @@ def pendant_form(core_edges):
     return Graph(list(core_edges) + [(f"p{v}", v) for v in nodes])
 
 
-def settled_layers(g, parity=None):
-    parity = signature(g) if parity is None else parity
-    return [j for j, settled in _Membership(g).layers(parity) if settled]
+def settled_layers(g):
+    return [j for j, settled in _Membership(g).layers() if settled]
 
 
 def assert_layers_agree(g):
@@ -976,11 +975,10 @@ def assert_layers_agree(g):
     them, against the per-mask scan; returns the settled port counts."""
     k = len(g.ports)
     probe = _Membership(g)
-    for parity in (0, 1):
-        assert [j for j, _ in probe.layers(parity)] == list(range(parity, k + 1, 2))
-        for j in settled_layers(g, parity):
-            assert all(probe(mask) for mask in range(1 << k)
-                       if mask.bit_count() == j), (g.edges, parity, j)
+    assert [j for j, _ in probe.layers()] == list(range(signature(g), k + 1, 2))
+    for j in settled_layers(g):
+        assert all(probe(mask) for mask in range(1 << k)
+                   if mask.bit_count() == j), (g.edges, j)
     scanned = scan(g, signature(g))
     missing = [mask for mask, realized in scanned if not realized]
     if 2 <= k <= 20:
@@ -1015,7 +1013,7 @@ def test_shared_or_paired_ports_never_settle():
         g = Graph(dense_core_with_ports(rng, port_pair=i % 2 == 1))
         probe = _Membership(g)
         if probe._port_pairs or len(set(probe._port_node)) < len(g.ports):
-            assert not any(settled_layers(g, parity) for parity in (0, 1)), g.edges
+            assert not settled_layers(g), g.edges
             crowded += 1
         assert_layers_agree(g)
     assert crowded >= 150
@@ -1270,7 +1268,7 @@ def test_member_bound_prices_the_settled_layers(monkeypatch):
     # scanned; the bound counts the settled members, not the class of 128
     g = Graph([(f"u{i}", f"u{j}") for i in range(8) for j in range(i + 1, 8)
                if not (i % 2 == 0 and j == i + 1)] + [(f"p{i}", f"u{i}") for i in range(8)])
-    assert [j for j, settled in _Membership(g).layers(0) if not settled] == [6]
+    assert [j for j, settled in _Membership(g).layers() if not settled] == [6]
     monkeypatch.setattr(kekule, "_MEMBER_CAP", 7)
     assert_cell_agrees(g)
     monkeypatch.setattr(kekule, "_MEMBER_CAP", 6)
@@ -1363,7 +1361,7 @@ def test_fold_agrees_with_blossom_on_large_hex_patches(m):
     assert 20 <= sum(verdicts) <= 180
 
 
-@pytest.mark.parametrize("edges, masks", [
+FOLDS_ONTO_A_PORT = [
     # folding the cycle v0-v2-v3-v6-v5 leaves v0 alone with both ports
     ([("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v2", "v3"), ("v3", "v6"),
       ("v5", "v6")], {0b01, 0b10}),
@@ -1371,7 +1369,10 @@ def test_fold_agrees_with_blossom_on_large_hex_patches(m):
     # neighbours, v1 and v2, and must stay; folding v1 leaves v3 alone
     ([("v0", "v4"), ("v0", "v5"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v3", "v4")],
      {0b1}),
-], ids=["two-ports", "triangle-tail"])
+]
+
+
+@pytest.mark.parametrize("edges, masks", FOLDS_ONTO_A_PORT, ids=["two-ports", "triangle-tail"])
 def test_fold_skips_a_node_given_a_port_by_a_merge(edges, masks):
     g = Graph(edges)
     assert kekule_cell(g).masks == masks == oracle_masks(g)
@@ -1401,14 +1402,34 @@ def test_fold_leaves_dense_cores_whole():
         assert settled_layers(make_delta(n)) == list(range(n % 2, n + 1, 2))
 
 
+def broom(arms):
+    """A hub with ``arms`` arms hub-x-y-port."""
+    return Graph([edge for i in range(arms) for edge in
+                  (("hub", f"x{i:04d}"), (f"x{i:04d}", f"y{i:04d}"), (f"y{i:04d}", f"p{i:04d}"))])
+
+
 def test_fold_of_a_broom_keeps_the_hub_with_every_port():
-    # a hub with 5000 arms hub-x-y-port: each fold absorbs y, of degree 1,
-    # into the hub, so only y's adjacency is walked
+    # each fold absorbs y, of degree 1, into the hub, so only y's adjacency
+    # is walked
     arms = 5000
-    g = Graph([edge for i in range(arms) for edge in
-               (("hub", f"x{i:04d}"), (f"x{i:04d}", f"y{i:04d}"), (f"y{i:04d}", f"p{i:04d}"))])
+    g = broom(arms)
     assert len(g.internal) == 2 * arms + 1 and len(g.ports) == arms
     probe = _Membership(g)
     assert probe._internal.bit_count() == 1
     assert probe._port_node == [probe._internal] * arms
     assert probe(1 << 1234) and not probe(0) and not probe(0b11)
+
+
+def test_fold_keeps_the_parity_of_the_core():
+    # layers() takes the parity class from the compile: each fold step drops
+    # two nodes, so the folded core has as many nodes, mod 2, as g has
+    # internal nodes, and every layer of the class leaves an even number free
+    rng = random.Random(52)
+    graphs = [*atlas_graphs(), *(random_connected_graph(rng, max_edges=20) for _ in range(200)),
+              *(Graph(edges) for edges, _ in FOLDS_ONTO_A_PORT), make_A(300), make_A(301),
+              broom(50), broom(51), hex_patch(8, 8, 16, random.Random(1))]
+    assert sum(folded_away(g) > 0 for g in graphs) >= 800
+    for g in graphs:
+        probe = _Membership(g)
+        assert probe._internal.bit_count() % 2 == signature(g), g.edges
+        assert [j for j, _ in probe.layers()] == list(range(signature(g), len(g.ports) + 1, 2))
