@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 
-def solve_affine(rows: Sequence[int], rhs: Sequence[int], width: int) -> int | None:
+def solve_affine(rows: Sequence[int], rhs: Sequence[int]) -> int | None:
     """One solution of ``A x = b`` over GF(2), by Gauss-Jordan elimination.
 
-    ``rows[i]`` is the coefficient mask of equation i over ``width``
-    variables, ``rhs[i]`` its parity bit.  Returns the solution with every
-    free variable 0, or None when the system is inconsistent.  No kernel
-    basis is built: the semi-Kekulé kernel is spanned by cycles
+    ``rows[i]`` is the coefficient mask of equation i, ``rhs[i]`` its
+    parity bit.  Returns the solution with every free variable 0, or None
+    when the system is inconsistent.  No kernel basis is built: the
+    semi-Kekulé kernel is spanned by cycles
     (:func:`~kekulec.semikekule.hsk_basis`).
     """
     # invariant: every pivot row holds its own column plus free columns only,

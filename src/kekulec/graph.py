@@ -23,11 +23,15 @@ def normalize_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def _excerpt(value) -> str:
-    """``repr(value)`` for an error line, cut to 80 characters: a malformed
-    value may be as long as its document."""
-    text = repr(value)
+def _clip(text: str) -> str:
+    """``text`` for an error line, cut to 80 characters ending in ``...``:
+    a label or a malformed value may be as long as its document."""
     return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _excerpt(value) -> str:
+    """``repr(value)`` for an error line, cut by :func:`_clip`."""
+    return _clip(repr(value))
 
 
 class Graph:
@@ -55,10 +59,10 @@ class Graph:
             if not isinstance(v, str) or not v:
                 raise ParseError(f"malformed label {_excerpt(v)}")
             if u == v:
-                raise ParseError(f"self-loop at node '{u}'")
+                raise ParseError(f"self-loop at node '{_clip(u)}'")
             e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise ParseError(f"duplicate edge {e[0]}-{e[1]}")
+                raise ParseError(f"duplicate edge {_clip(e[0])}-{_clip(e[1])}")
             seen.add(e)
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
 
@@ -370,8 +374,8 @@ def _named_pairs(doc: dict, key: str, what: str) -> dict[str, tuple[str, str]]:
     out: dict[str, tuple[str, str]] = {}
     for name, pair in raw.items():
         if not isinstance(name, str) or not name:
-            raise ParseError(f"malformed {what} name {name!r}")
-        out[name] = _pair_of_strings(pair, f"{what} '{name}'")
+            raise ParseError(f"malformed {what} name {_excerpt(name)}")
+        out[name] = _pair_of_strings(pair, f"{what} '{_clip(name)}'")
     return out
 
 

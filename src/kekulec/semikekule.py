@@ -45,7 +45,7 @@ def solve_semi_kekule(g: Graph, a: Assignment) -> EdgeSubset | None:
     for p in g.ports:
         rows.append(g.incidence_mask(p))
         rhs.append(1 if p in want else 0)
-    mask = gf2.solve_affine(rows, rhs, len(g.edges))
+    mask = gf2.solve_affine(rows, rhs)
     assert mask is not None, "parity-correct assignment must be solvable on a connected graph"
     return EdgeSubset(g, mask)
 

@@ -332,6 +332,22 @@ def test_verify_reports_a_failed_claim(capsys, monkeypatch):
     assert len(lines) == 3 and lines[2].startswith("PASS omni-families:")
 
 
+def test_verify_does_not_import_networkx():
+    # the atlas is a table in smallgraphs, so verify runs without networkx
+    import subprocess
+    import sys
+    script = ("import sys\n"
+              "from kekulec import cli\n"
+              "code = cli.main(['verify', '--claims', 'merge-split-invariance'])\n"
+              "print(code, 'networkx' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("PASS merge-split-invariance:")
+    assert lines[-1] == "0 False"
+
+
 def test_verify_respects_max_edges(capsys):
     code, out, _ = run(capsys, "verify", "--claims", "openness-path-equivalence",
                        "--max-edges", "6")
@@ -503,25 +519,32 @@ def test_command_without_kekule_state_is_domain_error(graph_file, capsys, no_sta
     assert (code, out, err) == (1, "", message + "\n")
 
 
-# a malformed value as long as its document is cut to an excerpt in its one line
+# a malformed value or a label as long as its document is cut to an excerpt
+# in its one line
+LONG = "x" * 200_000
 LONG_MALFORMED = {
     "label": ({"edges": [["a", [1] * 200_000]]},
-              "error: malformed label [1, 1, 1, "),
+              "error: malformed label [1, 1, 1, ", "...\n"),
     "initial": ({"edges": [["a", "b"], ["b", "c"]], "initial": [1] * 100_000},
-                "error: malformed initial assignment [1, 1, 1, "),
+                "error: malformed initial assignment [1, 1, 1, ", "...\n"),
     "channel": ({"edges": [["a", "b"], ["b", "c"]], "channels": {"x": ["a"] * 100_000}},
-                "error: malformed channel 'x' ['a', 'a', 'a', "),
+                "error: malformed channel 'x' ['a', 'a', 'a', ", "...\n"),
+    "self-loop": ({"edges": [[LONG, LONG]]}, "error: self-loop at node 'xxx", "...'\n"),
+    "duplicate": ({"edges": [["a", LONG], [LONG, "a"]]},
+                  "error: duplicate edge a-xxx", "...\n"),
+    "channel name": ({"edges": [["a", "b"], ["b", "c"]], "channels": {LONG: ["a"]}},
+                     "error: malformed channel 'xxx", "...' ['a']\n"),
 }
 
 
 @pytest.mark.parametrize("name", LONG_MALFORMED)
 def test_long_malformed_value_is_one_short_line(graph_file, capsys, name):
-    document, start = LONG_MALFORMED[name]
+    document, start, end = LONG_MALFORMED[name]
     text = json.dumps(document, separators=(",", ":"))
     assert len(text) >= 200_000
     code, out, err = run(capsys, "cell", graph_file("long", text))
     assert (code, out) == (1, "")
-    assert err.startswith(start) and err.endswith("...\n")
+    assert err.startswith(start) and err.endswith(end)
     assert len(err.splitlines()) == 1 and len(err) < 200
 
 
