@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from .builtins import builtin, builtin_names
-from .cells import Assignment, flex, flexible_ports
+from .cells import Assignment, flex, flexible_ports, is_open
 from .classify import classify_cell
 from .errors import KekulecError
 from .graph import (GraphDocument, dumps_document, parse_document,
@@ -148,7 +148,7 @@ def _cmd_channels(args) -> int:
     rows = []
     for i, p in enumerate(g.ports):
         for q in g.ports[i + 1:]:
-            open_ = (at ^ cell.assignment((p, q))) in cell
+            open_ = is_open(cell, at, cell.assignment((p, q)))
             lines.append("{" + p + "," + q + "}: " + ("open" if open_ else "closed"))
             rows.append({"channel": [p, q], "open": open_})
     _emit(args, lines, {"at": list(at.labels()), "channels": rows})

@@ -176,16 +176,6 @@ class EdgeSubset:
             raise KekulecError("edge subsets belong to different graphs")
         return EdgeSubset(self.graph, self.mask ^ other.mask)
 
-    def __and__(self, other: "EdgeSubset") -> "EdgeSubset":
-        if self.graph != other.graph:
-            raise KekulecError("edge subsets belong to different graphs")
-        return EdgeSubset(self.graph, self.mask & other.mask)
-
-    def __or__(self, other: "EdgeSubset") -> "EdgeSubset":
-        if self.graph != other.graph:
-            raise KekulecError("edge subsets belong to different graphs")
-        return EdgeSubset(self.graph, self.mask | other.mask)
-
     def __str__(self) -> str:
         return "{" + ",".join(f"{u}-{v}" for u, v in self.edges()) + "}"
 
@@ -225,6 +215,11 @@ def connected_components(g: Graph) -> list[Graph]:
 
 def is_connected(g: Graph) -> bool:
     return len(_component_masks(g)) == 1
+
+
+def _require_connected(g: Graph) -> None:
+    if not is_connected(g):
+        raise KekulecError("connected graph required")
 
 
 def cycle_rank(g: Graph) -> int:
@@ -307,8 +302,7 @@ def cycle_basis(g: Graph) -> list[EdgeSubset]:
     """
     if not g.nodes:
         return []
-    if not is_connected(g):
-        raise KekulecError("connected graph required")
+    _require_connected(g)
     root = g.nodes[0]
     parent_edge: dict[str, int] = {}
     parent: dict[str, str] = {}

@@ -197,17 +197,11 @@ class _Membership:
             port_node.append(node)
             if not node and p < nb:
                 self._port_pairs.append(1 << j | 1 << ports.index(nb))
-        # the nodes of degree 2 come first; those with two internal
-        # neighbours carry no port, and the fold starts from them
+        # the fold starts from the nodes of degree 2 and tests each itself
         degree = g.degree
-        portless = []
-        for i, v in enumerate(internal):
-            if degree[v] != 2:
-                break
-            if adj[i].bit_count() == 2:
-                portless.append(i)
-        if portless:
-            self._fold(portless)
+        twos = [i for i, v in enumerate(internal) if degree[v] == 2]
+        if twos:
+            self._fold(twos)
         # 2 (minimum degree - n) over the n nodes of the folded core, for the
         # degree cut of _completes; a folded-away node's entry holds all the
         # compiled nodes, more than any survivor's degree, so min skips it
@@ -400,14 +394,14 @@ class _Membership:
         here than there, and a chain, at up to four steps per node, stays on
         the DP.
         """
+        n, k = self._internal.bit_count(), len(self._port_node)
+        if 1 << k > _DP_BITS:
+            return None  # the final set alone would pass the budget
         adj = self._adj
         shifts: list[list[int]] = [[] for _ in adj]
         for j, node in enumerate(self._port_node):
             if node:
                 shifts[node.bit_length() - 1].append(1 << j)
-        if sum(map(sum, shifts)) + sum(self._port_pairs) >= _DP_BITS:
-            return None  # the final set alone would pass the budget
-        n, k = self._internal.bit_count(), len(self._port_node)
         overhead = n + 1024
         steps = _DP_BITS // overhead + (4 * n << k >> 1)
         states = {0: 1}

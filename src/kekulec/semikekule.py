@@ -11,8 +11,8 @@ from __future__ import annotations
 from . import gf2
 from .cells import Assignment
 from .errors import KekulecError
-from .graph import (EdgeSubset, Graph, _require_same_graph, cycle_basis, cycle_rank,
-                    is_connected, signature)
+from .graph import (EdgeSubset, Graph, _require_connected, _require_same_graph,
+                    cycle_basis, cycle_rank, signature)
 from .kekule import _require_graph_assignment, is_kekule_state
 
 
@@ -21,11 +21,6 @@ def is_semi_kekule(g: Graph, w: EdgeSubset) -> bool:
     _require_same_graph(g, w)
     return all((w.mask & g.incidence_mask(v)).bit_count() % 2 == 1
                for v in g.internal)
-
-
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise KekulecError("connected graph required")
 
 
 def solve_semi_kekule(g: Graph, a: Assignment) -> EdgeSubset | None:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .cells import (Assignment, Cell, channel, diameter, flex, flexible_ports,
-                    parity_space, channel_decomposition, translate)
+                    is_open, parity_space, channel_decomposition, translate)
 from .classify import BASE_CELLS, classify_cell, diameter4_template
 from .errors import CellError, KekulecError
 from .graph import Graph, cycle_rank, is_curve, signature, to_document
@@ -132,7 +132,7 @@ def claim_openness_equivalence(bounds: Bounds) -> ClaimResult:
         for w in enumerate_kekule_states(g):
             k = port_assignment(g, w)
             for p, q in combinations(g.ports, 2):
-                via_cell = (k ^ channel(g.ports, p, q)) in cell
+                via_cell = is_open(cell, k, channel(g.ports, p, q))
                 via_search = alternating_path_exists(g, w, p, q)
                 constructed = alternating_path(g, w, p, q)
                 if via_cell != via_search or via_cell != (constructed is not None):
@@ -181,7 +181,7 @@ def claim_decomposition_law(bounds: Bounds) -> ClaimResult:
         members = cell.members()
         for m in members:
             for p in fp:
-                if not any(q != p and (m ^ channel(cell.ports, p, q)) in cell
+                if not any(q != p and is_open(cell, m, channel(cell.ports, p, q))
                            for q in cell.ports):
                     return _fail(name, f"no channel at flexible port {p} from {m}", g)
         for m1, m2 in combinations(members, 2):
@@ -417,13 +417,11 @@ def claim_flex_round_trip(bounds: Bounds) -> ClaimResult:
         fsub = flexible_subgraph(g)
         if kekule_cell(fsub) != flex(cell):
             return _fail(name, "flexible subgraph cell != flex(cell)", g)
-        union = 0
-        inter = (1 << len(g.ports)) - 1
-        for m in cell.masks:
-            union |= m
-            inter &= m
-        always = [p for i, p in enumerate(g.ports) if inter >> i & 1]
-        never = [p for i, p in enumerate(g.ports) if not union >> i & 1]
+        flexible = flexible_ports(cell)
+        # a fixed port has the same bit in every member
+        k = Assignment(g.ports, next(iter(cell.masks)))
+        always = [p for p in g.ports if p not in flexible and p in k]
+        never = [p for p in g.ports if p not in flexible and p not in k]
         rebuilt = attach_handles(fsub, always, never)
         if kekule_cell(rebuilt) != cell:
             return _fail(name, "handles did not invert flex", g)
@@ -433,22 +431,15 @@ def claim_flex_round_trip(bounds: Bounds) -> ClaimResult:
 
 
 # claim_classification and claim_ycell_impossible scan the same two
-# universes.  The 2+2-port products are small and cached.  The connected
-# 4-port graphs (about 5 MB at the default cap) are handed on from the first
-# claim to the second, which runs after it in CLAIMS: a pass builds them once
-# and does not hold them while the other claims run.
-_HANDED_ON: dict[int, tuple[Graph, ...]] = {}
-
-
-def _four_port_graphs(max_edges: int, hand_on: bool) -> tuple[Graph, ...]:
-    """Every connected 4-port graph with at most ``max_edges`` edges, kept
-    for the next call when ``hand_on`` and released otherwise."""
-    graphs = _HANDED_ON.pop(max_edges, None)
-    if graphs is None:
-        graphs = tuple(connected_with_ports(4, max_edges))
-    if hand_on:
-        _HANDED_ON[max_edges] = graphs
-    return graphs
+# universes, each built once per process.  The connected 4-port graphs are
+# kept as their cells: the graphs (about 5 MB at the default cap) would sit
+# under every claim that runs after them, and a claim that fails rebuilds
+# the one graph it reports.
+@lru_cache(maxsize=1)
+def _four_port_cells(max_edges: int) -> tuple[Cell, ...]:
+    """The Kekulé cell of every connected 4-port graph with at most
+    ``max_edges`` edges, in the order of ``connected_with_ports``."""
+    return tuple(kekule_cell(g) for g in connected_with_ports(4, max_edges))
 
 
 @lru_cache(maxsize=1)
@@ -484,16 +475,17 @@ def claim_classification(bounds: Bounds) -> ClaimResult:
 
     k_tags = {f"k{i}" for i in range(6)}
     orbit = 0
-    # built before the 4-port graphs are held, so the peaks do not add up
+    # built before the 4-port cells, so the peaks do not add up
     products = _two_port_products(_cap(bounds, 10))
-    # every connected 4-port graph with <= 10 edges (complete: cores <= 6 edges)
-    for g in _four_port_graphs(_cap(bounds, 10), hand_on=True):
-        cell = kekule_cell(g)
+    # the cell of every connected 4-port graph with <= 10 edges (complete:
+    # cores <= 6 edges)
+    for i, cell in enumerate(_four_port_cells(_cap(bounds, 10))):
         if not cell.masks or diameter(cell) != 4:
             continue
         res4 = classify_cell(cell)
         if not res4.is_kekule or res4.tag not in k_tags:
-            return _fail(name, "diameter-4 cell outside the K0..K5 orbit", g)
+            return _fail(name, "diameter-4 cell outside the K0..K5 orbit",
+                         connected_with_ports(4, _cap(bounds, 10))[i])
         orbit += 1
     # disconnected graphs: only a 2+2 port split can reach diameter 4
     # (1-port Kekulé cells are singletons, 3-port ones have diameter <= 2,
@@ -626,15 +618,15 @@ def _matches_ycell(ports: tuple[str, ...], masks: frozenset[int]) -> str | None:
 def claim_ycell_impossible(bounds: Bounds) -> ClaimResult:
     """No 4-port graph realizes the Y-cell with channels sharing one port."""
     name = "ycell-4port-impossibility"
-    graphs = _four_port_graphs(_cap(bounds, 10), hand_on=False)
+    cells = _four_port_cells(_cap(bounds, 10))
     scanned = 0
-    for g in graphs:
-        cell = kekule_cell(g)
+    for i, cell in enumerate(cells):
         if len(cell.masks) != 4:
             continue
-        shared = _matches_ycell(g.ports, cell.masks)
+        shared = _matches_ycell(cell.ports, cell.masks)
         if shared is not None:
-            return _fail(name, f"Y-cell realized with shared port {shared}", g)
+            return _fail(name, f"Y-cell realized with shared port {shared}",
+                         connected_with_ports(4, _cap(bounds, 10))[i])
         scanned += 1
     # disconnected candidates must factor as a 2+2 port product; scan those too
     products = 0
@@ -646,9 +638,9 @@ def claim_ycell_impossible(bounds: Bounds) -> ClaimResult:
         products += 1
     return ClaimResult(
         name, True,
-        f"{len(graphs)} connected four-port graphs, {scanned} size-4 cells, "
+        f"{len(cells)} connected four-port graphs, {scanned} size-4 cells, "
         f"{products} product cells tested",
-        stats={"graphs": len(graphs), "cells": scanned, "products": products})
+        stats={"graphs": len(cells), "cells": scanned, "products": products})
 
 
 CLAIMS = [

@@ -85,6 +85,22 @@ def test_injected_mutant_yields_counterexample(monkeypatch):
     assert "edges" in result.counterexample
 
 
+def test_openness_claim_checks_the_library_openness_test(monkeypatch):
+    """The claim asks ``cells.is_open``, so one wrong answer from it fails the gate."""
+    real = verify_mod.is_open
+    asked = []
+
+    def flipped_once(cell, k, c):
+        asked.append(k)
+        return real(cell, k, c) != (len(asked) == 1)
+
+    monkeypatch.setattr(verify_mod, "is_open", flipped_once)
+    (result,) = run_claims(Bounds(max_edges=5), ["openness-path-equivalence"])
+    assert not result.ok
+    assert result.detail.startswith("openness mismatch")
+    assert result.counterexample is not None
+
+
 def test_alternating_path_search_on_a_long_chain():
     from kekulec import Assignment, kekule_states_for, make_A
     g = make_A(3000)
@@ -110,17 +126,34 @@ def test_unknown_claim_id_is_an_error():
         run_claims(Bounds(), ["parity-law", "nope"])
 
 
-def test_four_port_graphs_are_handed_on_to_the_ycell_claim():
-    verify_mod._HANDED_ON.clear()
+def test_four_port_graphs_are_built_once_for_both_claims(monkeypatch):
     bounds = Bounds(max_edges=8)
+    verify_mod._four_port_cells.cache_clear()
     (alone,) = run_claims(bounds, ["ycell-4port-impossibility"])
-    assert verify_mod._HANDED_ON == {}
+    real = verify_mod.connected_with_ports
+    built = []
+
+    def counted(ports, max_edges):
+        built.append((ports, max_edges))
+        return real(ports, max_edges)
+
+    monkeypatch.setattr(verify_mod, "connected_with_ports", counted)
+    verify_mod._four_port_cells.cache_clear()
+    verify_mod._two_port_products.cache_clear()
     run_claims(bounds, ["classification-small-cells"])
-    (held,) = verify_mod._HANDED_ON.values()
-    assert held == tuple(verify_mod.connected_with_ports(4, 8))
     (after,) = run_claims(bounds, ["ycell-4port-impossibility"])
-    assert verify_mod._HANDED_ON == {}
+    assert built == [(2, 6), (4, 8)]
     assert after.detail == alone.detail and after.stats == alone.stats
+
+
+def test_four_port_counterexample_is_the_graph_of_the_failing_cell(monkeypatch):
+    from kekulec import kekule_cell, to_document
+    monkeypatch.setattr(verify_mod, "_matches_ycell", lambda ports, masks: ports[0])
+    (result,) = run_claims(Bounds(max_edges=6), ["ycell-4port-impossibility"])
+    assert not result.ok
+    g = next(g for g in verify_mod.connected_with_ports(4, 6)
+             if len(kekule_cell(g).masks) == 4)
+    assert result.counterexample == to_document(g)
 
 
 # -- the Y-cell matcher ---------------------------------------------------------------
