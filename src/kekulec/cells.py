@@ -184,8 +184,6 @@ def is_open(cell: Cell, k: Assignment, c: Assignment) -> bool:
 
 def flexible_ports(cell: Cell) -> tuple[str, ...]:
     """Ports whose membership varies across the cell."""
-    if not cell.masks:
-        return ()
     union = 0
     inter = (1 << len(cell.ports)) - 1
     for m in cell.masks:

@@ -1,10 +1,14 @@
 """Classification of flexible Kekulé cells with at most four ports.
 
-Diameter-2 cells are translates of the one-double-bond star cell (with the
-extra Even-class family on exactly three ports); diameter-4 cells on four
-ports fall into six classes up to port permutation and translation, each
-realized by a two-path template with cross edges.  Every positive answer
-ships a realizing template graph and is re-verified against it.
+A flexible diameter-2 cell of one port-count parity, translated by a
+member, holds 0 and two-port masks that pairwise share exactly one port.
+They form a star through one port c, which flexibility makes reach every
+other port, so the translate by {c} is the one-double-bond star cell K1; or
+a triangle, which flexibility holds to exactly three ports: the Even class.
+So every such cell is Kekulé.  Diameter-4 cells on four ports fall into six
+classes up to port permutation and translation, each realized by a two-path
+template with cross edges.  Every positive answer ships a realizing template
+graph and is re-verified against it.
 
 A diameter-4 cell is matched by one lookup per member translate in
 ``_ORBIT``, a table built at import of every port permutation of the six
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .cells import Assignment, Cell, diameter, is_flexible, ordered_masks, parity_space
+from .cells import Assignment, Cell, diameter, is_flexible, ordered_masks
 from .errors import CellError, KekulecError
 from .graph import Graph
 from .kekule import kekule_cell
@@ -169,19 +173,13 @@ def _classify_diameter2(cell: Cell) -> Classification:
     ports = cell.ports
     if len(ports) == 3 and len(cell) == 4:
         k0 = cell.members()[0].mask
-        if {k0 ^ m for m in cell.masks} == parity_space(ports, 0).masks:
-            ones = (1 << len(ports)) - 1
-            template = translate_graph(odd_class_graph(ports),
-                                       Assignment(ports, k0 ^ ones))
-            return Classification(True, "even3-translate",
-                                  Assignment(ports, k0), template)
-        return _NOT_KEKULE
+        template = translate_graph(odd_class_graph(ports), Assignment(ports, k0 ^ 0b111))
+        return Classification(True, "even3-translate", Assignment(ports, k0), template)
     k1 = frozenset(1 << i for i in range(len(ports)))
-    for gm in ordered_masks(len(ports)):
-        if {gm ^ m for m in cell.masks} == k1:
-            template = translate_graph(star_graph(ports), Assignment(ports, gm))
-            return Classification(True, "k1-star", Assignment(ports, gm), template)
-    return _NOT_KEKULE
+    gm = next(gm for gm in ordered_masks(len(ports))
+              if {gm ^ m for m in cell.masks} == k1)
+    template = translate_graph(star_graph(ports), Assignment(ports, gm))
+    return Classification(True, "k1-star", Assignment(ports, gm), template)
 
 
 def _classify_diameter4(cell: Cell) -> Classification:

@@ -43,7 +43,7 @@ class Graph:
     """
 
     __slots__ = ("edges", "nodes", "ports", "internal", "degree",
-                 "_index", "_incidence", "_adj", "_hash")
+                 "_incidence", "_adj", "_hash")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         seen: set[Edge] = set()
@@ -69,11 +69,9 @@ class Graph:
         # One pass over the canonical order.  A node's (x, n) edges (x < n)
         # precede its (n, y) edges, so each list of neighbours comes out in
         # label order without a sort.
-        index: dict[Edge, int] = {}
         incidence: dict[str, int] = {}
         adj: dict[str, list[tuple[str, int]]] = {}
         for i, e in enumerate(self.edges):
-            index[e] = i
             bit = 1 << i
             u, v = e
             if u in adj:
@@ -88,7 +86,6 @@ class Graph:
             else:
                 adj[v] = [(u, i)]
                 incidence[v] = bit
-        self._index = index
         self._incidence = incidence
         self._adj = {n: tuple(pairs) for n, pairs in adj.items()}
         degree = {n: len(pairs) for n, pairs in adj.items()}
@@ -104,7 +101,9 @@ class Graph:
         return len(self.edges)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return normalize_edge(*pair) in self._index
+        u, v = pair
+        incidence = self._incidence
+        return u != v and bool(incidence.get(u, 0) & incidence.get(v, 0))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.edges == other.edges
@@ -116,10 +115,12 @@ class Graph:
         return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
     def edge_index(self, u: str, v: str) -> int:
-        e = normalize_edge(u, v)
-        if e not in self._index:
+        # the one edge of two distinct nodes is the bit their incidences share
+        shared = u != v and self._incidence.get(u, 0) & self._incidence.get(v, 0)
+        if not shared:
+            e = normalize_edge(u, v)
             raise KekulecError(f"no edge {e[0]}-{e[1]} in graph")
-        return self._index[e]
+        return shared.bit_length() - 1
 
     def incidence_mask(self, node: str) -> int:
         """Bit mask of the edges incident to ``node``."""
@@ -165,11 +166,6 @@ class EdgeSubset:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        e = normalize_edge(*pair)
-        i = self.graph._index.get(e)
-        return i is not None and bool(self.mask >> i & 1)
 
     def __xor__(self, other: "EdgeSubset") -> "EdgeSubset":
         if self.graph != other.graph:

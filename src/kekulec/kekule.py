@@ -18,16 +18,16 @@ paper's merge law: a node with no port and two internal neighbours goes, and
 its neighbours merge into one node that takes over their ports, which keeps
 every verdict (:meth:`_Membership._fold`); chains and the degree-2 rims of
 hex patches shrink, so every probe, scan and DP below runs on fewer nodes.
-Each call covers the port nodes, then
-runs one post-cover test, whose O(1) degree cut settles dense cores without
-a matching search.  Where the core is one non-bipartite component with each
-port on its own node, as in Delta_n, every assignment with j ports leaves
-the same number of free nodes, so that cut settles a whole cardinality
-layer at once (:meth:`_Membership.layers`) and its assignments are never
-probed one by one.  The entry points take their probe from :func:`_compiled`,
-which keeps the last graph compiled and its probe, keyed by identity, so a
-run of calls on one ``Graph`` object, as a verdict then a count, compiles it
-once.
+Each call covers the port nodes, then runs one post-cover test, whose
+matching search stops at its first step on dense cores, by Dirac's condition.
+Where the core is one non-bipartite component with each port on its own
+node, as in Delta_n, every assignment with j ports leaves the same number of
+free nodes, so an O(1) degree cut of that condition settles a whole
+cardinality layer at once (:meth:`_Membership.layers`) and its assignments
+are never probed one by one.  The entry points take their probe from
+:func:`_compiled`, which keeps the last graph compiled and its probe, keyed
+by identity, so a run of calls on one ``Graph`` object, as a verdict then a
+count, compiles it once.
 
 The cell itself needs no enumeration, and no first state either.  By the
 parity law every state touches as many ports, mod 2, as there are internal
@@ -203,8 +203,8 @@ class _Membership:
         if twos:
             self._fold(twos)
         # 2 (minimum degree - n) over the n nodes of the folded core, for the
-        # degree cut of _completes; a folded-away node's entry holds all the
-        # compiled nodes, more than any survivor's degree, so min skips it
+        # whole-layer Dirac cut of layers(); a folded-away node's entry holds
+        # all the compiled nodes, more than any survivor's degree, so min skips it
         self._degree_cut = 2 * (min(map(int.bit_count, adj), default=0)
                                 - self._internal.bit_count())
         # breadth-first by whole layers, the odd ones colour 1: an edge joins
@@ -340,8 +340,8 @@ class _Membership:
         A layer can settle when the folded core forms one non-bipartite
         component and every port hangs on its own node.  Then every mask
         with j ports leaves the same n - j free nodes of n, so the degree
-        cut of :meth:`_completes` decides all of them alike; with no free
-        node left the empty matching completes.
+        cut (Dirac's condition, met by every free node at once) decides all
+        of them alike; with no free node left the empty matching completes.
         Ports that share a merged node unsettle every layer.  A core that
         folds has a node of degree 2, so before the fold its degree cut
         settled layer j only on n <= 4 - j nodes: only such tiny cores could
@@ -477,11 +477,11 @@ class _Membership:
         The port-port edges must agree with ``mask``, and the free nodes of
         the folded core need a perfect matching, which they have exactly
         when the free internal nodes of the graph have one.  Each component must keep an even
-        number of them, as many of each colour where it is bipartite.  Then
-        each free node has at least delta - (n - |free|) free neighbours, for
-        minimum degree delta over the n nodes of the folded core; when that
-        is at least |free| / 2, Dirac's condition of :meth:`_matchable`
-        holds without a scan.
+        number of them, as many of each colour where it is bipartite; then
+        :meth:`_matchable` decides the rest.  Each free node has at least
+        delta - (n - |free|) free neighbours, for minimum degree delta over
+        the n nodes of the folded core, so where the degree cut holds, the
+        first step of :meth:`_matchable` meets Dirac's condition and returns.
         """
         for pair in self._port_pairs:
             both = mask & pair
@@ -495,7 +495,7 @@ class _Membership:
                     return False
             elif 2 * (part & colour).bit_count() != part.bit_count():
                 return False
-        return self._degree_cut + free.bit_count() >= 0 or self._matchable(free)
+        return self._matchable(free)
 
     def _matchable(self, free: int) -> bool:
         """Whether the nodes in ``free`` of the folded core have a perfect

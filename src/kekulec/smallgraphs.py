@@ -1,8 +1,8 @@
 """Graph universes for exhaustive and randomized checking.
 
 The exhaustive universe is every isomorphism class of graphs on at most 7
-nodes without isolated nodes, optionally filtered by edge count and
-connectivity.  It is read from ``_ATLAS``, a table of those graphs in the
+nodes without isolated nodes, optionally cut to an edge count and to the
+connected graphs.  It is read from ``_ATLAS``, a table of those graphs in the
 order of the graph atlas (Read & Wilson, *An Atlas of Graphs*, 1998, as
 shipped by networkx): by node count, then edge count, then degree sequence,
 then automorphism count.  Randomized suites use a seeded generator so
@@ -40,16 +40,12 @@ def _connected(g: Graph) -> bool:
     return is_connected(g)
 
 
-def atlas_graphs(max_edges: int | None = None, connected: bool | None = None) -> list[Graph]:
-    """Every graph on <= 7 nodes up to isomorphism, matching the filters."""
-    out = []
-    for g in _atlas():
-        if max_edges is not None and len(g.edges) > max_edges:
-            continue
-        if connected is not None and _connected(g) != connected:
-            continue
-        out.append(g)
-    return out
+def atlas_graphs(max_edges: int | None = None, connected: bool = False) -> list[Graph]:
+    """Every graph on <= 7 nodes up to isomorphism with at most ``max_edges``
+    edges, only the connected ones when ``connected``."""
+    return [g for g in _atlas()
+            if (max_edges is None or len(g.edges) <= max_edges)
+            and (not connected or _connected(g))]
 
 
 def connected_with_ports(k: int, max_edges: int) -> list[Graph]:

@@ -553,8 +553,6 @@ def claim_omni_operations(bounds: Bounds) -> ClaimResult:
             left = _prefixed(ga, "x.")
             right = _prefixed(gb, "y.")
             fused = glue_ports(left, left.ports[0], right, right.ports[0])
-            if len(fused.ports) < 2:
-                continue
             if is_omniconjugated(fused).omniconjugated != (oa and ob):
                 return _fail(name, f"glue equivalence failed ({oa} x {ob})", fused)
             ops += 1

@@ -91,6 +91,7 @@ def test_flexible_ports():
     eth = Cell.of(("p0", "p1", "p2"), [(), ("p0", "p1"), ("p1", "p2")])
     assert flexible_ports(eth) == ("p0", "p1", "p2")
     assert flexible_ports(Cell.of(("a", "b", "c"), ["a", "abc"])) == ("b", "c")
+    assert flexible_ports(Cell(PORTS4, frozenset())) == ()
 
 
 def test_flex():

@@ -1,10 +1,11 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from kekulec import (Assignment, Cell, CellError, KekulecError,
-                     classify_cell, flex, kekule_cell, diameter4_template,
-                     make_delta, parity_space, star_graph)
+                     classify_cell, diameter, flex, is_flexible, kekule_cell,
+                     diameter4_template, make_delta, parity_space, star_graph)
 from kekulec.classify import _ORBIT, BASE_CELLS, _permute_mask
 
 PORTS4 = ("a", "b", "c", "d")
@@ -110,6 +111,30 @@ def test_classify_preconditions():
         classify_cell(Cell(PORTS4, frozenset()))
     with pytest.raises(KekulecError, match="flexible"):
         classify_cell(cell4("ab", "ac"))  # port a never varies
+
+
+def test_every_flexible_diameter2_cell_of_one_parity_is_kekule():
+    # the theorem of the classify module: translated by a member, such a cell
+    # is K1 or, on exactly three ports, the Even class, so every one of them
+    # classifies by a construction, never as "not Kekulé"
+    tags = Counter()
+    for k in range(5):
+        ports = PORTS4[:k]
+        for parity in (0, 1):
+            space = sorted(parity_space(ports, parity).masks)
+            for chosen in range(1, 1 << len(space)):
+                cell = Cell(ports, frozenset(m for i, m in enumerate(space) if chosen >> i & 1))
+                if not is_flexible(cell) or diameter(cell) > 2:
+                    continue
+                result = classify_cell(cell)
+                assert result.is_kekule, cell
+                assert result.tag == ("even3-translate" if k == 3 and len(cell) == 4
+                                      else "trivial" if k == 0 else "k1-star"), cell
+                tags[k, result.tag] += 1
+    # K1 on k >= 3 ports has 2^k distinct translates, and on two ports two,
+    # since ab maps {a, b} onto itself; the Even class has one per parity
+    assert tags == {(0, "trivial"): 1, (2, "k1-star"): 2, (3, "k1-star"): 8,
+                    (3, "even3-translate"): 2, (4, "k1-star"): 16}
 
 
 def test_star_graph_shape():

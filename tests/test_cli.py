@@ -122,6 +122,13 @@ def test_omni_counts_the_cell(graph_file, capsys, name):
     assert data["omniconjugated"] == (data["kekule_assignments"] == data["parity_space"])
 
 
+def test_omni_past_the_port_cap_is_one_error_line(graph_file, capsys):
+    code, out, err = run(capsys, "omni", graph_file("delta21"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: omniconjugation check capped at 20 ports\n"
+
+
 def test_classify_ethene(graph_file, capsys):
     path = graph_file("ethene3")
     code, out, _ = run(capsys, "classify", path)

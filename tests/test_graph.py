@@ -7,6 +7,8 @@ from kekulec import (Graph, KekulecError, ParseError, connected_components,
                      curve_components, cycle_basis, cycle_rank, is_curve,
                      make_delta, parse_document, parse_graph, signature)
 from kekulec import gf2
+from kekulec.graph import normalize_edge
+from kekulec.smallgraphs import atlas_graphs
 
 import oracle
 
@@ -34,10 +36,17 @@ def test_parse_canonical_order():
     ([["a", ""]], "malformed label"),
     ([["a", 3]], "malformed label"),
     ([["a", "b", "c"]], "malformed edge"),
+    # a dict row is a whole document, a list row the edges alone
+    ({"edges": [["p0", "u"], ["u", "p1"]], "channels": {"A": ["p0", "p0"]}},
+     "endpoints must differ"),
+    ({"edges": [["p0", "u"], ["u", "p1"]], "channels": {"": ["p0", "p1"]}},
+     "malformed channel name"),
+    ({"edges": [["p0", "u"], ["u", "p1"]], "initial": ["p0", "p0"]},
+     "duplicate label in initial assignment"),
 ])
 def test_parse_errors(bad, message):
     with pytest.raises(ParseError, match=message):
-        parse_graph(doc(bad))
+        parse_graph(json.dumps(bad) if isinstance(bad, dict) else doc(bad))
 
 
 @pytest.mark.parametrize("edge", ["ab", {"x": 1, "y": 2}, {"u": "v", "w": "x"}])
@@ -179,6 +188,24 @@ def test_cycle_basis_requires_connected():
 
 def test_cycle_rank_disconnected():
     assert cycle_rank(Graph([("a", "b"), ("c", "d")])) == 0
+
+
+def test_edge_lookups_agree_with_the_edge_tuple():
+    # every ordered node pair of every atlas graph, u == v included, and
+    # labels that sort before and after every node
+    for g in atlas_graphs():
+        edges = set(g.edges)
+        labels = ("a", *g.nodes, "zz")
+        for u in labels:
+            for v in labels:
+                e = normalize_edge(u, v)
+                assert ((u, v) in g) == (e in edges)
+                if e in edges:
+                    assert g.edge_index(u, v) == g.edges.index(e)
+                else:
+                    with pytest.raises(KekulecError) as exc:
+                        g.edge_index(u, v)
+                    assert str(exc.value) == f"no edge {e[0]}-{e[1]} in graph"
 
 
 def test_subset_cross_graph_xor():

@@ -60,6 +60,14 @@ def test_requires_two_ports(phenantrene):
         is_omniconjugated(phenantrene)
 
 
+def test_port_cap_refuses_21_ports():
+    g = make_delta(21)
+    with pytest.raises(KekulecError, match="omniconjugation check capped at 20 ports"):
+        is_omniconjugated(g)
+    with pytest.raises(KekulecError, match="assignment count capped at 20 ports"):
+        realized_assignment_count(g)
+
+
 def test_realized_count(ethene3):
     assert realized_assignment_count(ethene3) == 3
     assert realized_assignment_count(make_delta(3)) == 4
