@@ -205,6 +205,10 @@ def _cmd_classify(args) -> int:
 def _cmd_transform(args) -> int:
     doc = _read_document(args.graph, args.lint)
     g = doc.graph
+    flags = (args.merge, args.split, args.subdivide, args.translate, args.add_edge, args.glue)
+    if sum(map(bool, flags)) != 1:
+        print("usage error: one transform flag required", file=sys.stderr)
+        return USAGE_ERROR
     if args.merge:
         out_graph = merge_node(g, args.merge)
         op = f"merge {args.merge}"
@@ -232,7 +236,7 @@ def _cmd_transform(args) -> int:
             return USAGE_ERROR
         out_graph = add_internal_edge(g, *labels)
         op = f"add-edge {labels[0]}-{labels[1]}"
-    elif args.glue:
+    else:
         try:
             path, ports = args.glue.rsplit(":", 1)
             p_here, p_there = ports.split(",", 1)
@@ -242,9 +246,6 @@ def _cmd_transform(args) -> int:
         other = _read_document(path, args.lint)
         out_graph = glue_ports(g, p_here, other.graph, p_there)
         op = f"glue {p_here}+{p_there}"
-    else:
-        print("usage error: one transform flag required", file=sys.stderr)
-        return USAGE_ERROR
     report = RewriteReport.diff(op, g, out_graph)
     document = to_document(out_graph)
     if args.format == "json":

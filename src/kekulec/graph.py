@@ -183,21 +183,24 @@ def signature(g: Graph) -> int:
 
 # -- connectivity ------------------------------------------------------------
 
-def _component_masks(g: Graph) -> list[int]:
-    """Edge masks of the connected components, ordered by smallest node label."""
+def _component_masks(g: Graph, within: int = -1) -> list[int]:
+    """Edge masks of the connected components of the edges in ``within``
+    (every edge by default), ordered by smallest node label; a node that no
+    edge of ``within`` touches is in none."""
+    incidence, adj = g._incidence, g._adj
     seen: set[str] = set()
     masks: list[int] = []
     for start in g.nodes:
-        if start in seen:
+        if start in seen or not incidence[start] & within:
             continue
         mask = 0
         stack = [start]
         seen.add(start)
         while stack:
             n = stack.pop()
-            mask |= g.incidence_mask(n)
-            for nb, _ in g.neighbors(n):
-                if nb not in seen:
+            mask |= incidence[n] & within
+            for nb, e in adj[n]:
+                if nb not in seen and within >> e & 1:
                     seen.add(nb)
                     stack.append(nb)
         masks.append(mask)
@@ -252,32 +255,17 @@ class CurveComponent:
 def curve_components(g: Graph, c: EdgeSubset) -> list[CurveComponent]:
     """Split a curve into components and classify each one.
 
-    Requires ``is_curve(g, c)``; components come out ordered by smallest
-    node label.
+    Requires ``is_curve(g, c)``.  The components are those of
+    :func:`_component_masks` over the edges of ``c``, ordered by smallest
+    node label; one whose nodes all have degree 2 in it is a cycle, any
+    other a path between its two degree-1 nodes, which are ports.
     """
     if not is_curve(g, c):
         raise KekulecError("subset is not a curve")
-    nodes = c.nodes()
-    seen: set[str] = set()
     out: list[CurveComponent] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp_nodes = {start}
-        stack = [start]
-        comp_mask = 0
-        while stack:
-            n = stack.pop()
-            for nb, bit in g.neighbors(n):
-                if not c.mask >> bit & 1:
-                    continue
-                comp_mask |= 1 << bit
-                if nb not in comp_nodes:
-                    comp_nodes.add(nb)
-                    stack.append(nb)
-        seen |= comp_nodes
-        sub = EdgeSubset(g, comp_mask)
-        ends = sorted(n for n in comp_nodes if sub.degree_in(n) == 1)
+    for mask in _component_masks(g, c.mask):
+        sub = EdgeSubset(g, mask)
+        ends = [n for n in sub.nodes() if sub.degree_in(n) == 1]
         if not ends:
             out.append(CurveComponent("cycle", sub, None))
         else:

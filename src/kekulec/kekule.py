@@ -12,12 +12,13 @@ port-port edges agree with it and the internal nodes it leaves uncovered
 have a perfect matching among internal-internal edges (Edmonds 1965).
 :class:`_Membership` compiles a graph once, over its internal nodes only,
 and decides that test with bit masks, one assignment per call
-(``probe(mask)``), also where :meth:`_Membership.scan_layer` walks a whole
-cardinality layer in member order.  The compile first folds the core by the
-paper's merge law: a node with no port and two internal neighbours goes, and
-its neighbours merge into one node that takes over their ports, which keeps
-every verdict (:meth:`_Membership._fold`); chains and the degree-2 rims of
-hex patches shrink, so every probe, scan and DP below runs on fewer nodes.
+(``probe(mask)``), also where :meth:`_Membership.missing` walks the open
+cardinality layers in member order for the masks the cell lacks.  The
+compile first folds the core by the paper's merge law: a node with no port
+and two internal neighbours goes, and its neighbours merge into one node
+that takes over their ports, which keeps every verdict
+(:meth:`_Membership._fold`); chains and the degree-2 rims of hex patches
+shrink, so every probe, scan and DP below runs on fewer nodes.
 Each call covers the port nodes, then runs one post-cover test, whose
 matching search stops at its first step on dense cores, by Dirac's condition.
 Where the core is one non-bipartite component with each port on its own
@@ -48,6 +49,7 @@ missing, each mask probed at most once.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from math import comb
 from typing import Iterator
 
@@ -158,12 +160,12 @@ class _Membership:
     assignment with bit vector ``mask`` (over ``g.ports``): it checks the
     ports, cuts on per-component parity (and on colour balance where a
     component is bipartite), then searches for a perfect matching of the
-    free nodes.  ``scan_layer(j)`` makes that call for every mask with j
-    ports in member order; ``layers()`` names the layers whose
-    masks are all members without probing any of them, and ``realized()``
-    gives every realized mask at once.  The compile, fold included, runs in
-    the constructor, and no method changes the probe after it, so
-    :func:`_compiled` can hand one probe to every call on its graph.
+    free nodes.  ``layers()`` names the layers whose masks are all members
+    without probing any of them; ``missing()`` makes that call for every
+    mask of the other layers in member order and yields the rejected ones,
+    and ``realized()`` gives every realized mask at once.  The compile, fold
+    included, runs in the constructor, and no method changes the probe after
+    it, so :func:`_compiled` can hand one probe to every call on its graph.
     """
 
     __slots__ = ("_adj", "_internal", "_port_node", "_port_pairs", "_degree_cut",
@@ -325,9 +327,13 @@ class _Membership:
             covered |= node
         return self._completes(mask, covered)
 
-    def scan_layer(self, j: int) -> Iterator[tuple[int, bool]]:
-        """``(mask, self(mask))`` for every mask with ``j`` ports, in member order."""
-        return ((mask, self(mask)) for mask in layer_masks(len(self._port_node), j))
+    def missing(self) -> Iterator[int]:
+        """Every mask of a layer that :meth:`layers` leaves open and the probe
+        rejects, in member order, each probed once."""
+        k = len(self._port_node)
+        for j, settled in self.layers():
+            if not settled:
+                yield from filterfalse(self, layer_masks(k, j))
 
     def layers(self) -> Iterator[tuple[int, bool]]:
         """``(j, settled)`` for every port count j of the parity class of
@@ -630,7 +636,7 @@ def _realized(g: Graph, allow_large: bool) -> int:
     (:meth:`_Membership.realized`), which gives the empty cell of a graph
     without a state as well.  Otherwise, and past the DP's budget, it is the
     class less the masks that one compiled scan of the open layers
-    (:meth:`_Membership.scan_layer`) finds missing: at most the 2^(k-1)
+    (:meth:`_Membership.missing`) finds missing: at most the 2^(k-1)
     masks of the class for k ports, each probed once, and none where every
     layer settles.  Without ``allow_large`` a scan is refused where that
     bound passes 2^24 probes.  Before the class is built, the members of its
@@ -670,10 +676,8 @@ def _realized(g: Graph, allow_large: bool) -> int:
     if not open_layers:
         return realized
     bits = bytearray(realized.to_bytes(((1 << k) + 7) >> 3, "little"))
-    for j in open_layers:
-        for mask, member in probe.scan_layer(j):
-            if not member:
-                bits[mask >> 3] &= ~(1 << (mask & 7))
+    for mask in probe.missing():
+        bits[mask >> 3] &= ~(1 << (mask & 7))
     return int.from_bytes(bits, "little")
 
 

@@ -1,20 +1,13 @@
 """Omniconjugation: graphs whose Kekulé cell fills the whole parity class,
 plus the constructive families A_n, Delta_n, and the basic model B.
 
-:func:`is_omniconjugated` decides the parity class one cardinality layer at a
-time and stops at the first missing assignment.  It works on the compiled
-core, folded by the merge law (``_Membership._fold``): each portless node
-with two internal neighbours goes and merges them, so the chain of A_n folds
-to at most two nodes, and Delta_n, with a port on every node, folds nothing.
-Where the folded core is one non-bipartite component with each port on its
-own node, every assignment with j ports leaves the same number of free
-nodes, and an O(1) degree cut settles the layer whole
-(``_Membership.layers``): when the core's minimum degree leaves each free
-node at least half of them as neighbours, Dirac's theorem (1952) gives a
-Hamiltonian cycle and so a perfect matching.  On Delta_n (n >= 3) every
-layer settles and no assignment is probed.  An unsettled layer is decided
-mask by mask in member order (``_Membership.scan_layer``), one compiled
-probe per mask.
+:func:`is_omniconjugated` is the cell search's own question stopped at its
+first answer: the first mask of the parity class, in member order, that the
+compiled probe finds missing (``kekule._Membership.missing``), with no state
+enumerated.  The probe runs on the core folded by the merge law, so the
+chain of A_n folds to at most two nodes, and it settles whole cardinality
+layers by a degree cut where it can, so on Delta_n (n >= 3) no assignment is
+probed (see :mod:`kekulec.kekule`).
 :func:`realized_assignment_count` is the size of the Kekulé cell, read off
 the one bitset that :func:`~kekulec.kekule.kekule_cell` decodes
 (``kekule._realized``).  Both take the probe from ``kekule._compiled``,
@@ -48,22 +41,18 @@ class OmniVerdict:
 def is_omniconjugated(g: Graph) -> OmniVerdict:
     """True iff every parity-correct port assignment has a Kekulé state.
 
-    The settled layers of the parity class hold no missing assignment, and
-    one compiled scan decides the others without enumerating states; the
-    witness is the first missing assignment in member order
-    (:func:`~kekulec.cells.ordered_masks`).
+    One compiled scan of the parity class's open layers finds the first
+    missing assignment without enumerating states; it is the witness, first
+    in member order (:func:`~kekulec.cells.ordered_masks`).
     """
     if len(g.ports) < 2:
         raise KekulecError("omniconjugation requires at least two ports")
     if len(g.ports) > _PORT_CAP:
         raise KekulecError(f"omniconjugation check capped at {_PORT_CAP} ports")
-    probe = _compiled(g)
-    for j, settled in probe.layers():
-        if not settled:
-            for mask, realized in probe.scan_layer(j):
-                if not realized:
-                    return OmniVerdict(False, Assignment(g.ports, mask))
-    return OmniVerdict(True, None)
+    mask = next(_compiled(g).missing(), None)
+    if mask is None:
+        return OmniVerdict(True, None)
+    return OmniVerdict(False, Assignment(g.ports, mask))
 
 
 def realized_assignment_count(g: Graph) -> int:

@@ -153,8 +153,7 @@ def verify_gate(fc: FunctionalCell, inputs: tuple[str, ...], output: str,
     the table.
     """
     for name in (*inputs, output):
-        if name not in fc.channels:
-            raise SwitchError(f"unknown channel '{name}'")
+        fc._channel(name)  # refuses an unknown channel before any row runs
     rows = []
     violations = []
     for combo in product((0, 1), repeat=len(inputs)):

@@ -301,3 +301,22 @@ def test_members_order_is_popcount_then_set_bit_indices():
                 masks.add(sum(1 << i for i in bits) | (1 << n) - 1 >> n // 2 << n // 2)
             cell = Cell(ports, frozenset(masks))
             assert [k.mask for k in cell.members()] == sorted(masks, key=key)
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: channel(PORTS4, "a", "a"), CellError,
+                 "channel ports must differ", id="channel-same-port"),
+    pytest.param(lambda: translate(asg("a"), Cell.of(("a", "b"), [()])), CellError,
+                 "assignment and cell have different port sets", id="translate-ports"),
+    pytest.param(lambda: flex(Cell(PORTS4, frozenset())), CellError,
+                 "empty cell cannot be restricted", id="flex-empty"),
+    pytest.param(lambda: channel_decomposition(Cell.of(PORTS4, [(), "ab"]), asg(""), asg("cd")),
+                 CellError, "both endpoints must be members of the cell",
+                 id="decomposition-non-member"),
+])
+def test_cell_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

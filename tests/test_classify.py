@@ -158,3 +158,17 @@ def test_orbit_table_permutes_each_key_back_onto_its_base():
         inv = tuple(perm.index(j) for j in range(4))
         for base in BASE_CELLS:
             assert frozenset(_permute_mask(m, inv) for m in base) in _ORBIT
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: star_graph(("a",)), KekulecError,
+                 "star template needs at least two ports", id="star-one-port"),
+    pytest.param(lambda: diameter4_template(6), KekulecError,
+                 "template index must be 0..5", id="template-index"),
+])
+def test_classify_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -238,6 +238,15 @@ def test_transform_requires_one_flag(graph_file, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--translate", "a4", "--subdivide", "a1"],
+    ["--merge", "a2", "--add-edge", "a1,a3"],
+], ids=["translate+subdivide", "merge+add-edge"])
+def test_transform_refuses_two_flags(graph_file, capsys, flags):
+    code, out, err = run(capsys, "transform", graph_file("a4"), *flags)
+    assert (code, out, err) == (2, "", "usage error: one transform flag required\n")
+
+
 def test_transform_subdivide(graph_file, capsys):
     code, out, err = run(capsys, "transform", graph_file("a3"), "--subdivide", "a1")
     assert code == 0

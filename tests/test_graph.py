@@ -290,3 +290,24 @@ def test_single_state_graph_properties(single_state_graph):
     states = enumerate_kekule_states(single_state_graph)
     assert len(states) == 1
     assert sorted(states[0].edges()) == [("b2", "c"), ("t1", "t2")]
+
+
+# -- refusals ---------------------------------------------------------------------
+
+A3 = Graph([("a1", "a2"), ("a2", "a3")])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: A3.subset_from_mask(4), KekulecError,
+                 "mask 0x4 outside edge space", id="mask-past-edges"),
+    pytest.param(lambda: A3.subset_from_mask(-1), KekulecError,
+                 "mask -0x1 outside edge space", id="mask-negative"),
+    pytest.param(lambda: is_curve(A3, make_delta(2).subset()), KekulecError,
+                 "edge subset belongs to a different graph", id="curve-other-graph"),
+    pytest.param(lambda: curve_components(A3, A3.subset([("a1", "a2")])), KekulecError,
+                 "subset is not a curve", id="components-not-a-curve"),
+])
+def test_graph_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -282,3 +282,32 @@ def test_long_chain_needs_no_recursion():
     assert cell.format_lines() == ["{}", "{a1,a3000}"]
     (w,) = kekule_states_for(g, cell.members()[0])
     assert alternating_path(g, w, "a1", "a3000") is not None
+
+
+# -- refusals ---------------------------------------------------------------------
+
+A4 = make_A(4)
+A4_STATE = A4.subset([("a1", "a2"), ("a3", "a4")])
+A4_EMPTY = A4.subset()  # covers neither internal node: not a state
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: has_kekule_state_for(A4, Assignment(("a1", "a5"), 0)), KekulecError,
+                 "assignment port set does not match the graph's ports", id="assignment-ports"),
+    pytest.param(lambda: state_difference(A4_STATE, A4_EMPTY), KekulecError,
+                 "state_difference requires two Kekulé states", id="difference-not-a-state"),
+    pytest.param(lambda: apply_curve(A4_STATE, make_A(3).subset()), KekulecError,
+                 "curve belongs to a different graph", id="apply-other-graph"),
+    pytest.param(lambda: apply_curve(A4_EMPTY, A4_EMPTY), KekulecError,
+                 "apply_curve requires a Kekulé state", id="apply-not-a-state"),
+    pytest.param(lambda: alternating_curves(A4, A4_EMPTY), KekulecError,
+                 "alternating_curves requires a Kekulé state", id="curves-not-a-state"),
+    pytest.param(lambda: alternating_path(A4, A4_STATE, "a1", "a1"), KekulecError,
+                 "ports must differ", id="path-same-port"),
+    pytest.param(lambda: alternating_path(A4, A4_EMPTY, "a1", "a4"), KekulecError,
+                 "alternating_path requires a Kekulé state", id="path-not-a-state"),
+])
+def test_kekule_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -27,7 +27,7 @@ from kekulec import (Assignment, Graph, KekulecError, enumerate_kekule_states,
                      kekule_states_for, make_A, make_delta, parity_space,
                      pendant_core_is_complete, port_assignment,
                      realized_assignment_count, signature)
-from kekulec.cells import closure, layer_masks, ordered_masks
+from kekulec.cells import closure, ordered_masks
 from kekulec import kekule
 from kekulec.graph import EdgeSubset
 from kekulec.kekule import _Membership
@@ -850,26 +850,22 @@ def test_counts_agree_on_families(g):
 # -- the parity-class scan --------------------------------------------------------
 
 def scan(g, parity):
-    """``(mask, verdict)`` over the parity class of ``g`` in member order:
-    ``scan_layer`` for each layer, fewest ports first."""
+    """``(mask, verdict)`` over the masks of ``g`` with one cardinality
+    parity, in member order, one ``probe(mask)`` each: the per-mask
+    reference that ``missing()`` is checked against."""
     probe = _Membership(g)
-    return [hit for j in range(parity, len(g.ports) + 1, 2) for hit in probe.scan_layer(j)]
+    return [(mask, probe(mask)) for mask in ordered_masks(len(g.ports), parity)]
 
 
 def assert_scan_agrees(g, edges=None):
-    """``scan_layer`` yields the masks of ``ordered_masks`` with the probe's
-    verdict, layer by layer over both parities; with ``edges``, also the
-    oracle's cell."""
-    probe = _Membership(g)
-    realized = set()
-    for parity in (0, 1):
-        scanned = scan(g, parity)
-        assert [m for m, _ in scanned] == list(ordered_masks(len(g.ports), parity))
-        for mask, verdict in scanned:
-            assert verdict == probe(mask), (g.edges, mask)
-            if verdict:
-                realized.add(frozenset(Assignment(g.ports, mask).labels()))
+    """``missing()`` yields the masks of the parity class that the per-mask
+    reference rejects, in member order; with ``edges``, the masks of both
+    parities that the reference accepts are also the oracle's cell."""
+    scanned = scan(g, signature(g))
+    assert list(_Membership(g).missing()) == [mask for mask, ok in scanned if not ok], g.edges
     if edges is not None:
+        realized = {frozenset(Assignment(g.ports, mask).labels())
+                    for parity in (0, 1) for mask, ok in scan(g, parity) if ok}
         assert realized == oracle.cell_of(edges), edges
 
 
@@ -1097,7 +1093,7 @@ def shared_node_hex_patch():
 
 
 @pytest.mark.parametrize("shape", ["atlas", "hex"])
-def test_scan_layer_makes_one_call_per_mask(shape, per_mask_calls):
+def test_missing_makes_one_call_per_mask(shape, per_mask_calls):
     if shape == "atlas":  # the first with four ports, some sharing a node
         g = next(g for g in atlas_graphs() if len(g.ports) >= 4
                  and 1 < len(set(_Membership(g)._port_node)) < len(g.ports))
@@ -1111,17 +1107,15 @@ def test_scan_layer_makes_one_call_per_mask(shape, per_mask_calls):
         nodes = [node for i, node in enumerate(probe._port_node) if mask >> i & 1 and node]
         return len(set(nodes)) < len(nodes)
 
-    total = 0
-    for j in range(k + 1):
-        calls = dict(per_mask_calls)
-        masks = [mask for mask, _ in probe.scan_layer(j)]
-        assert masks == list(layer_masks(k, j))
-        # a clash stops in __call__, before _completes
-        clash = sum(map(clashes, masks))
-        total += clash
-        assert per_mask_calls == {"__call__": calls["__call__"] + comb(k, j),
-                                  "_completes": calls["_completes"] + comb(k, j) - clash}
-    assert total
+    # ports sharing a node leave every layer of the parity class open
+    assert not any(settled for _, settled in probe.layers())
+    masks = list(ordered_masks(k, signature(g)))
+    missing = list(probe.missing())
+    # a clash stops in __call__, before _completes
+    clash = sum(map(clashes, masks))
+    assert clash
+    assert per_mask_calls == {"__call__": len(masks), "_completes": len(masks) - clash}
+    assert missing == [mask for mask in masks if not probe(mask)]
 
 
 def test_pendant_core_law_on_settled_layers():
@@ -1290,10 +1284,10 @@ def test_scan_price_admits_up_to_twenty_five_ports(monkeypatch):
     class Admitted(Exception):
         pass
 
-    def scan_layer(self, j):
+    def missing(self):
         raise Admitted
 
-    monkeypatch.setattr(_Membership, "scan_layer", scan_layer)
+    monkeypatch.setattr(_Membership, "missing", missing)
     # 25 ports: caterpillar(12) with a third port on its first node
     g = Graph(list(caterpillar(12).edges) + [("p00c", "s00")])
     assert len(g.ports) == 25

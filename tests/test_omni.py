@@ -117,3 +117,18 @@ def test_witness_is_first_missing(ethene3):
     # realized, so {p0,p2} is the first gap
     space = parity_space(ethene3.ports, signature(ethene3)).members()
     assert [str(k) for k in space] == ["{}", "{p0,p1}", "{p0,p2}", "{p1,p2}"]
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: pendant_core_is_complete(Graph([("p", "q")])), KekulecError,
+                 "graph is not in pendant form", id="no-internal-node"),
+    pytest.param(lambda: pendant_core_is_complete(
+                     Graph([("p", "u"), ("u", "q"), ("x", "y")])), KekulecError,
+                 "graph is not in pendant form", id="port-off-a-port"),
+])
+def test_omni_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

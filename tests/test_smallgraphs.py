@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from kekulec import Graph, smallgraphs
+from kekulec import Graph, KekulecError, smallgraphs
 from kekulec.smallgraphs import connected_with_ports
 
 
@@ -50,3 +50,15 @@ def test_connected_with_ports_smallest_caps():
     assert [g.edges for g in connected_with_ports(2, 1)] == [(("q1", "q2"),)]
     assert connected_with_ports(4, 3) == []
     assert len(connected_with_ports(4, 4)) == 1
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: connected_with_ports(2, 9), KekulecError,
+                 "core bound exceeds the 7-node atlas", id="core-past-the-atlas"),
+])
+def test_smallgraphs_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -326,3 +326,38 @@ def test_functional_cell_without_kekule_state(no_state_graph):
         FunctionalCell.from_graph(no_state_graph, {}, {}, None)
     with pytest.raises(KekulecError, match="^graph has no Kekulé state$"):
         Builtin("no-state", no_state_graph).functional_cell()
+
+
+# -- refusals ---------------------------------------------------------------------
+
+ETHENE_CELL = kekule_cell(builtin("ethene3").graph)  # ports p0, p1, p2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: FunctionalCell(ETHENE_CELL, ETHENE_CELL.assignment(()),
+                                        {"A": Cell.of(("a", "b"), [()]).assignment(("a", "b"))}),
+                 SwitchError, "channel 'A' uses a different port set", id="channel-ports"),
+    pytest.param(lambda: FunctionalCell(ETHENE_CELL, ETHENE_CELL.assignment(()),
+                                        {"A": ETHENE_CELL.assignment(("p0",))}),
+                 SwitchError, "channel 'A' must contain exactly two ports", id="channel-one-port"),
+    pytest.param(lambda: FunctionalCell(ETHENE_CELL, ETHENE_CELL.assignment(()),
+                                        {"A": ETHENE_CELL.assignment(("p0", "p1"))},
+                                        {"S": ("A", "A")}),
+                 SwitchError, "socket 'S' must pair two distinct channels", id="socket-one-channel"),
+    pytest.param(lambda: verify_gate(fc_of("ethene3"), ("X",), "T", {(0,): False, (1,): True}),
+                 SwitchError, "unknown channel 'X'", id="gate-unknown-input"),
+])
+def test_switch_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_gate_reports_a_refused_input():
+    # T is closed at the initial state of ethene3, so signalling it is refused
+    fc = fc_of("ethene3")
+    assert fc.open_channels() == {"A": True, "T": False}
+    report = verify_gate(fc, ("T",), "A", {(0,): True, (1,): True})
+    assert report.violations == ("input 'T' refused at {} for combo (1,)",)
+    assert report.rows == (((0,), True, True), ((1,), True, True))
+    assert not report.passed

@@ -263,3 +263,21 @@ def test_rewrite_report_diff():
     assert report.added_nodes == ()
     assert ("a2", "a5") in report.added_edges
     assert any("operation: merge a3" in line for line in report.format_lines())
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: split_node(make_A(4), "zz", ["a1"], ["a3"]), KekulecError,
+                 "no node 'zz' in graph", id="split-unknown-node"),
+    pytest.param(lambda: add_internal_edge(make_A(4), "a2", "zz"), KekulecError,
+                 "no node 'zz' in graph", id="add-edge-unknown-node"),
+    pytest.param(lambda: glue_ports(make_A(3), "a2", make_A(3), "a1"), KekulecError,
+                 "'a2' is not a port of the first graph", id="glue-first-not-a-port"),
+    pytest.param(lambda: glue_ports(make_A(3), "a1", make_delta(2), "zz"), KekulecError,
+                 "'zz' is not a port of the second graph", id="glue-second-not-a-port"),
+])
+def test_transform_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
